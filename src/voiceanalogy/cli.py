@@ -75,7 +75,7 @@ def parse_config(path=None, overrides=None):
                 key, value = (part.strip() for part in line.split("=", 1))
                 if key not in CONFIG_DEFAULTS:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-                cfg[key] = _coerce(key, value)
+                cfg[key] = _coerce(key, value, f"{path}:{lineno}")
                 if key == "version":
                     seen_version = True
     if not seen_version:
@@ -87,13 +87,14 @@ def parse_config(path=None, overrides=None):
     return cfg
 
 
-def _coerce(key, value):
-    default = CONFIG_DEFAULTS[key]
-    if isinstance(default, int):
-        return int(value)
-    if isinstance(default, float):
-        return float(value)
-    return value
+def _coerce(key, value, where):
+    kind = type(CONFIG_DEFAULTS[key])
+    if kind is str:
+        return value
+    try:
+        return kind(value)
+    except ValueError:
+        raise ConfigError(f"{where}: {key} expects {kind.__name__}, got {value!r}") from None
 
 
 def echo_config(cfg, out_dir):
@@ -311,7 +312,7 @@ def main(argv=None):
             return cmd_render(cfg, args.out, args.source_wav, args.image)
         parser.error(f"unknown command {args.command!r}")
     except (ConfigError, C.CorpusConfigError, C.WavFormatError, Q.CqtConfigError,
-            FileNotFoundError, PermissionError) as exc:
+            Q.SignalLengthError, FileNotFoundError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # internal failure

@@ -103,6 +103,21 @@ class TestCommands:
         assert code == 2
         assert "wrong" in capsys.readouterr().err
 
+    def test_gen_data_non_numeric_value_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("version=1\nsteps = abc\n")
+        code = main(["--config", str(bad), "--out", str(tmp_path / "o"), "gen-data"])
+        assert code == 2
+        assert "bad.cfg:2: steps expects int, got 'abc'" in capsys.readouterr().err
+
+    def test_gen_data_kernel_longer_than_clip_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("version=1\nq_scale = 4.0\n")
+        code = main(["--config", str(bad), "--out", str(tmp_path / "o"), "gen-data"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "longest kernel" in err
+
     def test_train_missing_corpus_exits_2(self, tiny_cfg, tmp_path):
         code = main(["--config", str(tiny_cfg), "--out", str(tmp_path / "o"),
                      "train", str(tmp_path / "nope.bin")])

@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 
 from voiceanalogy.cqt import (CqtConfig, CqtConfigError, SignalLengthError,
-                              Spectrogram, compress, decompress, design_filterbank,
-                              estimate_f0, forward_cqt, frequency_to_bin,
-                              inverse_cqt)
+                              Spectrogram, _adjoint_cqt, compress, decompress,
+                              design_filterbank, estimate_f0, forward_cqt,
+                              frequency_to_bin, inverse_cqt, n_frames)
+
+# default, and one whose max_window is odd (1241) with more bins per octave,
+# a hop that is no power of two and shorter kernels
+OPERATOR_CONFIGS = [CqtConfig(), CqtConfig(bins_per_octave=24, hop=50, q_scale=0.5)]
 
 
 @pytest.fixture(scope="module")
@@ -19,6 +23,47 @@ def filterbank(config):
 
 def tone(freq, n=4000, sr=8000):
     return np.sin(2 * np.pi * freq * np.arange(n) / sr)
+
+
+def reference_kernels(config):
+    """Per-bin kernels of their own lengths, designed independently of the
+    padded kernel matrix."""
+    kernels = []
+    for k in range(config.n_bins):
+        f = config.center_frequency(k)
+        length = int(np.ceil(config.q_scale * config.q_factor * config.sample_rate / f))
+        n = np.arange(length) - (length - 1) / 2.0
+        kern = np.hanning(length) * np.exp(2j * np.pi * f * n / config.sample_rate)
+        kernels.append(kern / np.abs(kern).sum())
+    return kernels
+
+
+def reference_forward(signal, config):
+    """Per-bin loop: inner product of each kernel with the window centred at
+    t*hop, the signal zero-padded by the kernel's own length."""
+    kernels = reference_kernels(config)
+    t_frames = n_frames(signal.size, config.hop)
+    out = np.empty((config.n_bins, t_frames), dtype=np.complex128)
+    centers = np.arange(t_frames) * config.hop
+    for k, kern in enumerate(kernels):
+        pad = kern.size
+        padded = np.concatenate([np.zeros(pad), signal, np.zeros(pad)])
+        for t, c in enumerate(centers):
+            s = c + pad - (kern.size - 1) // 2
+            out[k, t] = padded[s:s + kern.size] @ np.conj(kern)
+    return out
+
+
+def reference_adjoint(grid, config, signal_length):
+    """Per-bin, per-frame overlap-add of Re(grid[k, t] * kernel k)."""
+    kernels = reference_kernels(config)
+    pad = max(kern.size for kern in kernels)
+    x = np.zeros(signal_length + 2 * pad)
+    for k, kern in enumerate(kernels):
+        for t in range(grid.shape[1]):
+            s = t * config.hop + pad - (kern.size - 1) // 2
+            x[s:s + kern.size] += np.real(grid[k, t] * kern)
+    return x[pad:pad + signal_length]
 
 
 class TestFilterbank:
@@ -93,6 +138,37 @@ class TestForward:
         assert grid.shape == (config.n_bins, 4000 // config.hop + 1)
 
 
+@pytest.mark.parametrize("cfg", OPERATOR_CONFIGS, ids=["default", "b24_hop50_q05"])
+class TestOperator:
+    @pytest.mark.parametrize("n", [4000, 4001])
+    def test_forward_matches_per_bin_loop(self, cfg, n):
+        x = np.random.default_rng(n).normal(size=n)
+        got = forward_cqt(x, design_filterbank(cfg))
+        want = reference_forward(x, cfg)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", [4000, 4001])
+    def test_adjoint_matches_per_bin_loop(self, cfg, n):
+        rng = np.random.default_rng(n)
+        shape = (cfg.n_bins, n_frames(n, cfg.hop))
+        y = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        got = _adjoint_cqt(y, design_filterbank(cfg), n)
+        want = reference_adjoint(y, cfg, n)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_adjoint_identity(self, cfg):
+        fb = design_filterbank(cfg)
+        rng = np.random.default_rng(2)
+        for n in (fb.max_window, 4000, 4001):
+            x = rng.normal(size=n)
+            shape = (cfg.n_bins, n_frames(n, cfg.hop))
+            y = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            lhs = np.real(np.vdot(y, forward_cqt(x, fb)))  # Re<Ax, y>
+            rhs = x @ _adjoint_cqt(y, fb, n)               # <x, A*y>
+            assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+
 class TestCompression:
     def test_zero_maps_to_zero(self, config):
         spec = compress(np.zeros((2, 2), dtype=complex), config)
@@ -134,6 +210,16 @@ class TestInverse:
         spec = Spectrogram(np.zeros((config.n_bins, 20)), config)
         audio = inverse_cqt(spec, filterbank, iterations=2)
         np.testing.assert_array_equal(audio, 0.0)
+
+    def test_signal_shorter_than_kernel_rejected(self, filterbank, config):
+        spec = compress(forward_cqt(tone(220.0), filterbank), config)
+        with pytest.raises(SignalLengthError, match="500"):
+            inverse_cqt(spec, filterbank, iterations=1, signal_length=500)
+
+    def test_frame_count_mismatch_rejected(self, filterbank, config):
+        spec = compress(forward_cqt(tone(220.0), filterbank), config)
+        with pytest.raises(SignalLengthError, match="63 frames"):
+            inverse_cqt(spec, filterbank, iterations=1, signal_length=5000)
 
     def test_iterations_must_be_positive(self, filterbank, config):
         spec = Spectrogram(np.zeros((config.n_bins, 20)), config)
