@@ -9,6 +9,7 @@ config is echoed to the output directory. Exit codes: 0 success,
 import argparse
 import os
 import sys
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -24,33 +25,19 @@ EXIT_USAGE = 2
 
 CONFIG_VERSION = 1
 
+# CQT and training keys come from the dataclass defaults; TrainConfig.seed
+# is spelled train_seed beside corpus_seed.
+TRAIN_KEYS = {"seed": "train_seed"}
+
 CONFIG_DEFAULTS = {
     "version": CONFIG_VERSION,
-    # cqt
-    "sample_rate": 8000,
-    "f_min": 110.0,
-    "bins_per_octave": 12,
-    "n_bins": 48,
-    "hop": 64,
-    "q_scale": 1.0,
+    **asdict(Q.CqtConfig()),
     # corpus
     "n_speakers": 2,
     "n_words": 4,
     "variants_per_cell": 20,
     "corpus_seed": 0,
-    # training
-    "batch_size": 16,
-    "steps": 2000,
-    "disc_steps_per_gen_step": 1,
-    "lambda_adv": 0.05,
-    "learning_rate": 2e-4,
-    "beta1": 0.5,
-    "beta2": 0.999,
-    "epsilon": 1e-8,
-    "train_seed": 0,
-    "checkpoint_interval": 500,
-    "log_interval": 10,
-    "transform": "additive",
+    **{TRAIN_KEYS.get(k, k): v for k, v in asdict(TR.TrainConfig()).items()},
     # rendering / inversion
     "griffin_lim_iters": 50,
     "phase_seed": 0,
@@ -105,18 +92,12 @@ def echo_config(cfg, out_dir):
 
 
 def cqt_config_from(cfg):
-    return Q.CqtConfig(cfg["sample_rate"], cfg["f_min"], cfg["bins_per_octave"],
-                       cfg["n_bins"], cfg["hop"], cfg["q_scale"])
+    return Q.CqtConfig(**{f.name: cfg[f.name] for f in fields(Q.CqtConfig)})
 
 
 def train_config_from(cfg):
-    return TR.TrainConfig(
-        batch_size=cfg["batch_size"], steps=cfg["steps"],
-        disc_steps_per_gen_step=cfg["disc_steps_per_gen_step"],
-        lambda_adv=cfg["lambda_adv"], learning_rate=cfg["learning_rate"],
-        beta1=cfg["beta1"], beta2=cfg["beta2"], epsilon=cfg["epsilon"],
-        seed=cfg["train_seed"], checkpoint_interval=cfg["checkpoint_interval"],
-        log_interval=cfg["log_interval"], transform=cfg["transform"])
+    return TR.TrainConfig(**{f.name: cfg[TRAIN_KEYS.get(f.name, f.name)]
+                             for f in fields(TR.TrainConfig)})
 
 
 def write_pgm(values, path, flip_vertical=True):
@@ -312,7 +293,8 @@ def main(argv=None):
             return cmd_render(cfg, args.out, args.source_wav, args.image)
         parser.error(f"unknown command {args.command!r}")
     except (ConfigError, C.CorpusConfigError, C.WavFormatError, Q.CqtConfigError,
-            Q.SignalLengthError, FileNotFoundError, PermissionError) as exc:
+            Q.SignalLengthError, TR.CheckpointError, FileNotFoundError,
+            PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # internal failure

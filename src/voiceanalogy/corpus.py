@@ -5,18 +5,18 @@ are formant patterns plus amplitude envelopes. Everything is a pure
 function of the corpus seed, so training targets are measurable.
 """
 
-import io
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import container
 from .cqt import CqtConfig, Spectrogram, compress, design_filterbank, forward_cqt
 
 UTTERANCE_SECONDS = 0.5
 MAX_SYNTH_FREQ = 1600.0  # keep partials inside the default CQT range
 CORPUS_MAGIC = b"AVCORP\x00"
-CORPUS_VERSION = 1
+CORPUS_VERSION = 2
 
 
 class CorpusConfigError(ValueError):
@@ -215,8 +215,11 @@ class Corpus:
 
 
 def build_corpus(n_speakers, n_words, variants_per_cell, seed, cqt_config=None):
-    if n_speakers < 2 or n_words < 2:
-        raise CorpusConfigError("analogy quadruples need >= 2 speakers and >= 2 words")
+    if n_speakers < 2 or n_words < 2 or variants_per_cell < 2:
+        # one variant per cell leaves no training variants below holdout_start
+        raise CorpusConfigError("analogy quadruples need >= 2 speakers, >= 2 words "
+                                f"and >= 2 variants per cell, got {n_speakers}, {n_words} "
+                                f"and {variants_per_cell}")
     if cqt_config is None:
         cqt_config = CqtConfig()
     speakers = make_speakers(n_speakers)
@@ -328,87 +331,39 @@ def wav_read(path):
 
 # ---- corpus container ----
 
-def _pack_str(s):
-    b = s.encode("utf-8")
-    return struct.pack("<I", len(b)) + b
-
-
-def _read_str(buf):
-    (n,) = struct.unpack("<I", buf.read(4))
-    return buf.read(n).decode("utf-8")
-
-
-def _pack_array(arr):
-    b = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    return struct.pack("<I", len(b)) + b
-
-
-def _read_array(buf):
-    (n,) = struct.unpack("<I", buf.read(4))
-    return np.frombuffer(buf.read(n), dtype="<f8").copy()
-
-
 def corpus_to_bytes(corpus):
-    cfg = corpus.cqt_config
-    out = io.BytesIO()
-    out.write(CORPUS_MAGIC)
-    out.write(struct.pack("<B", CORPUS_VERSION))
-    out.write(struct.pack("<IdIIIdqIII", cfg.sample_rate, cfg.f_min, cfg.bins_per_octave,
-                          cfg.n_bins, cfg.hop, cfg.q_scale, corpus.seed,
-                          corpus.n_speakers, corpus.n_words, corpus.variants_per_cell))
-    for s in corpus.speakers:
-        out.write(struct.pack("<Idddd", s.id, s.f0, s.harmonic_rolloff,
-                              s.vibrato_rate, s.vibrato_depth))
-    for w in corpus.words:
-        out.write(struct.pack("<I", w.id))
-        out.write(_pack_str(w.name))
-        out.write(struct.pack("<I", len(w.formants)))
-        for c, bw, g in w.formants:
-            out.write(struct.pack("<ddd", c, bw, g))
-        out.write(struct.pack("<I", len(w.envelope)))
-        for t, a in w.envelope:
-            out.write(struct.pack("<dd", t, a))
-    for utt, spec in zip(corpus.utterances, corpus.spectrograms):
-        out.write(struct.pack("<IIq", utt.speaker_id, utt.word_id, utt.variant_seed))
-        out.write(_pack_array(utt.samples))
-        out.write(struct.pack("<II", spec.bins, spec.frames))
-        out.write(_pack_array(spec.values.reshape(-1)))
-    return out.getvalue()
+    meta = {"cqt": asdict(corpus.cqt_config), "seed": corpus.seed,
+            "variants_per_cell": corpus.variants_per_cell,
+            "speakers": [asdict(s) for s in corpus.speakers],
+            "words": [asdict(w) for w in corpus.words]}
+    ids = [(u.speaker_id, u.word_id, u.variant_seed) for u in corpus.utterances]
+    return container.pack(CORPUS_MAGIC, CORPUS_VERSION, meta, {
+        "ids": np.array(ids, dtype=np.int64),
+        "samples": [u.samples for u in corpus.utterances],
+        "spectrograms": [s.values for s in corpus.spectrograms]})
 
 
 def corpus_from_bytes(blob):
-    buf = io.BytesIO(blob)
-    if buf.read(len(CORPUS_MAGIC)) != CORPUS_MAGIC:
-        raise CorpusConfigError("bad corpus magic tag")
-    (version,) = struct.unpack("<B", buf.read(1))
-    if version != CORPUS_VERSION:
-        raise CorpusConfigError(f"unsupported corpus version {version}")
-    (sr, f_min, bpo, n_bins, hop, q_scale, seed, n_speakers, n_words,
-     variants) = struct.unpack("<IdIIIdqIII", buf.read(struct.calcsize("<IdIIIdqIII")))
-    cfg = CqtConfig(sr, f_min, bpo, n_bins, hop, q_scale)
-    speakers = []
-    for _ in range(n_speakers):
-        sid, f0, rolloff, vrate, vdepth = struct.unpack("<Idddd", buf.read(36))
-        speakers.append(SpeakerProfile(sid, f0, rolloff, vrate, vdepth))
-    words = []
-    for _ in range(n_words):
-        (wid,) = struct.unpack("<I", buf.read(4))
-        name = _read_str(buf)
-        (nf,) = struct.unpack("<I", buf.read(4))
-        formants = tuple(struct.unpack("<ddd", buf.read(24)) for _ in range(nf))
-        (ne,) = struct.unpack("<I", buf.read(4))
-        envelope = tuple(struct.unpack("<dd", buf.read(16)) for _ in range(ne))
-        words.append(WordProfile(wid, name, formants, envelope))
-    utterances = []
-    spectrograms = []
-    for _ in range(n_speakers * n_words * variants):
-        sid, wid, vseed = struct.unpack("<IIq", buf.read(16))
-        samples = _read_array(buf)
-        utterances.append(Utterance(sid, wid, samples, sr, vseed))
-        bins, frames = struct.unpack("<II", buf.read(8))
-        values = _read_array(buf).reshape(bins, frames)
-        spectrograms.append(Spectrogram(values, cfg))
-    return Corpus(cfg, seed, variants, speakers, words, utterances, spectrograms)
+    meta, arrays = container.unpack(blob, CORPUS_MAGIC, CORPUS_VERSION, CorpusConfigError,
+                                    "corpus")
+    try:
+        cfg = CqtConfig(**meta["cqt"])
+        speakers = [SpeakerProfile(**s) for s in meta["speakers"]]
+        words = [WordProfile(w["id"], w["name"], tuple(map(tuple, w["formants"])),
+                             tuple(map(tuple, w["envelope"]))) for w in meta["words"]]
+        variants = meta["variants_per_cell"]
+        ids, samples, specs = arrays["ids"], arrays["samples"], arrays["spectrograms"]
+        n = len(speakers) * len(words) * variants
+        if (variants < 2 or ids.shape != (n, 3) or samples.ndim != 2 or len(samples) != n
+                or specs.shape[:2] != (n, cfg.n_bins) or specs.ndim != 3
+                or [a.dtype.kind for a in (ids, samples, specs)] != ["i", "f", "f"]):
+            raise ValueError("array shapes do not match the metadata")
+        utterances = [Utterance(s, w, x, cfg.sample_rate, v)
+                      for (s, w, v), x in zip(ids.tolist(), samples)]
+        return Corpus(cfg, meta["seed"], variants, speakers, words, utterances,
+                      [Spectrogram(v, cfg) for v in specs])
+    except container.MALFORMED as exc:
+        raise CorpusConfigError(f"corpus: malformed metadata: {exc}") from None
 
 
 def save_corpus(corpus, path):

@@ -191,6 +191,9 @@ def inverse_cqt(spec, filterbank, iterations=50, signal_length=None, seed=0,
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     cfg = filterbank.config
+    if spec.bins != cfg.n_bins:
+        raise CqtConfigError(
+            f"spectrogram has {spec.bins} bins, the filterbank has {cfg.n_bins}")
     target = decompress(spec.values, spec.gamma)
     t_frames = target.shape[1]
     if signal_length is None:

@@ -29,7 +29,6 @@ class ModelConfig:
     n_speakers: int = 2
     transform: str = "additive"   # or "deep"
     leaky_alpha: float = 0.2
-    lambda_adv: float = 0.05
 
     def __post_init__(self):
         down = self.stride * self.stride

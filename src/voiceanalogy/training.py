@@ -6,14 +6,12 @@ batches. All randomness flows through one seeded generator so metrics
 logs are a pure function of (config, corpus).
 """
 
-import io
-import json
-import struct
 import time
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from . import container
 from . import tensor as T
 from .corpus import sample_quadruple
 from .cqt import estimate_f0, frequency_to_bin
@@ -23,7 +21,7 @@ from .model import (DiscriminatorParams, GeneratorParams, ModelConfig,
 from .tensor import Adam, Tensor
 
 CHECKPOINT_MAGIC = b"AVCKPT\x00"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 METRICS_FIELDS = ("step", "analogy_loss", "disc_loss", "gen_adv_loss",
                   "disc_real_accuracy", "disc_fake_detection_rate")
@@ -132,7 +130,6 @@ class Trainer:
                 n_words=corpus.n_words,
                 n_speakers=corpus.n_speakers,
                 transform=train_config.transform,
-                lambda_adv=train_config.lambda_adv,
             )
         self.model_config = model_config
         self.rng = np.random.default_rng(train_config.seed)
@@ -240,34 +237,10 @@ def _run(trainer, steps, metrics_path, checkpoint_dir, progress):
 
 # ---- checkpoint serialization ----
 
-def _config_blob(trainer):
-    payload = {
-        "train": asdict(trainer.config),
-        "model": asdict(trainer.model_config),
-        "step": trainer.step,
-        "rng": trainer.rng.bit_generator.state,
-    }
-    return json.dumps(payload, sort_keys=True).encode("utf-8")
-
-
 def save_checkpoint(trainer, path):
-    out = io.BytesIO()
-    out.write(CHECKPOINT_MAGIC)
-    out.write(struct.pack("<B", CHECKPOINT_VERSION))
-    blob = _config_blob(trainer)
-    out.write(struct.pack("<I", len(blob)))
-    out.write(blob)
-    tensors = trainer.named_tensors()
-    out.write(struct.pack("<I", len(tensors)))
-    for name in sorted(tensors):
-        arr = np.ascontiguousarray(tensors[name], dtype="<f8")
-        nb = name.encode("utf-8")
-        out.write(struct.pack("<I", len(nb)))
-        out.write(nb)
-        out.write(struct.pack("<B", arr.ndim))
-        out.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        out.write(arr.tobytes())
-    data = out.getvalue()
+    meta = {"train": asdict(trainer.config), "model": asdict(trainer.model_config),
+            "step": trainer.step, "rng": trainer.rng.bit_generator.state}
+    data = container.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, meta, trainer.named_tensors())
     with open(path, "wb") as f:
         f.write(data)
     return data
@@ -275,40 +248,34 @@ def save_checkpoint(trainer, path):
 
 def load_checkpoint(path, corpus):
     with open(path, "rb") as f:
-        raw = f.read()
-    buf = io.BytesIO(raw)
-    if buf.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"bad checkpoint magic in {path}")
-    (version,) = struct.unpack("<B", buf.read(1))
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version} in {path}")
-    (blen,) = struct.unpack("<I", buf.read(4))
-    payload = json.loads(buf.read(blen).decode("utf-8"))
-    train_cfg = TrainConfig(**payload["train"])
-    model_cfg_fields = dict(payload["model"])
-    model_cfg_fields["channels"] = tuple(model_cfg_fields["channels"])
-    model_cfg = ModelConfig(**model_cfg_fields)
-    trainer = Trainer(corpus, train_cfg, model_cfg)
-    trainer.step = payload["step"]
-    trainer.rng.bit_generator.state = payload["rng"]
-    (count,) = struct.unpack("<I", buf.read(4))
-    tensors = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack("<I", buf.read(4))
-        name = buf.read(nlen).decode("utf-8")
-        (ndim,) = struct.unpack("<B", buf.read(1))
-        shape = struct.unpack(f"<{ndim}I", buf.read(4 * ndim))
-        size = int(np.prod(shape))
-        arr = np.frombuffer(buf.read(8 * size), dtype="<f8").reshape(shape).copy()
-        tensors[name] = arr
-    for name, p in trainer.gen_params.items():
-        p.data = tensors[f"gen/{name}"]
-    for name, p in trainer.disc_params.items():
-        p.data = tensors[f"disc/{name}"]
-    trainer.gen_opt.load_state_tensors(
-        {k[len("gen_opt/"):]: v for k, v in tensors.items() if k.startswith("gen_opt/")})
-    trainer.disc_opt.load_state_tensors(
-        {k[len("disc_opt/"):]: v for k, v in tensors.items() if k.startswith("disc_opt/")})
+        meta, tensors = container.unpack(f.read(), CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                                         CheckpointError, f"checkpoint {path}")
+    try:
+        train_cfg = TrainConfig(**meta["train"])
+        model_cfg = ModelConfig(**{**meta["model"], "channels": tuple(meta["model"]["channels"])})
+        model_shape = (model_cfg.bins, model_cfg.n_words, model_cfg.n_speakers)
+        corpus_shape = (corpus.cqt_config.n_bins, corpus.n_words, corpus.n_speakers)
+        if model_shape != corpus_shape:
+            raise CheckpointError(
+                f"checkpoint {path}: model is for (bins, words, speakers) = {model_shape}, "
+                f"corpus has {corpus_shape}")
+        trainer = Trainer(corpus, train_cfg, model_cfg)
+        trainer.step = meta["step"]
+        trainer.rng.bit_generator.state = meta["rng"]
+        for prefix, params, opt in (("gen", trainer.gen_params, trainer.gen_opt),
+                                    ("disc", trainer.disc_params, trainer.disc_opt)):
+            state = {k.split("/", 1)[1]: v for k, v in tensors.items()
+                     if k.startswith(f"{prefix}_opt/")}
+            for name, p in params.items():
+                arr = tensors[f"{prefix}/{name}"]
+                for a in (arr, state.get(f"m/{name}", arr), state.get(f"v/{name}", arr)):
+                    if (a.dtype, a.shape) != (p.data.dtype, p.data.shape):
+                        raise ValueError(f"{prefix}/{name} is {a.dtype} {a.shape}, "
+                                         f"the model needs {p.data.dtype} {p.data.shape}")
+                p.data = arr.copy()  # the optimizer updates it in place
+            opt.load_state_tensors(state)
+    except container.MALFORMED as exc:
+        raise CheckpointError(f"checkpoint {path}: malformed metadata: {exc}") from None
     return trainer
 
 

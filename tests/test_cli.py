@@ -25,6 +25,19 @@ def tiny_cfg(tmp_path):
     return path
 
 
+def gen_and_train(config, out):
+    assert main(["--config", str(config), "--out", str(out), "gen-data"]) == 0
+    assert main(["--config", str(config), "--out", str(out), "train",
+                 str(out / "corpus.bin")]) == 0
+    return out / "corpus.bin", out / "final_checkpoint.bin"
+
+
+def one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
 class TestConfig:
     def test_defaults_without_file(self):
         cfg = parse_config(None)
@@ -117,6 +130,47 @@ class TestCommands:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "longest kernel" in err
+
+    def test_gen_data_one_variant_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("version=1\nvariants_per_cell = 1\n")
+        code = main(["--config", str(bad), "--out", str(tmp_path / "o"), "gen-data"])
+        assert code == 2
+        assert "variants per cell" in one_line_error(capsys)
+        assert not (tmp_path / "o" / "corpus.bin").exists()
+
+    def test_train_truncated_corpus_exits_2(self, tiny_cfg, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["--config", str(tiny_cfg), "--out", str(out), "gen-data"]) == 0
+        corpus_path = out / "corpus.bin"
+        corpus_path.write_bytes(corpus_path.read_bytes()[:5000])
+        capsys.readouterr()
+        code = main(["--config", str(tiny_cfg), "--out", str(out), "train",
+                     str(corpus_path)])
+        assert code == 2
+        assert "corpus: header lists" in one_line_error(capsys)
+
+    def test_eval_truncated_checkpoint_exits_2(self, tiny_cfg, tmp_path, capsys):
+        corpus_path, ckpt = gen_and_train(tiny_cfg, tmp_path / "run")
+        ckpt.write_bytes(ckpt.read_bytes()[:3000])
+        capsys.readouterr()
+        code = main(["--config", str(tiny_cfg), "--out", str(tmp_path / "run"), "eval",
+                     str(ckpt), str(corpus_path)])
+        assert code == 2
+        assert "final_checkpoint.bin" in one_line_error(capsys)
+
+    @pytest.mark.parametrize("change", ["n_words = 3", "n_bins = 20"])
+    def test_eval_mismatched_corpus_exits_2(self, tiny_cfg, tmp_path, capsys, change):
+        _, ckpt = gen_and_train(tiny_cfg, tmp_path / "run")
+        other_cfg = tmp_path / "other.cfg"
+        other_cfg.write_text(tiny_cfg.read_text() + change + "\n")
+        other = tmp_path / "other"
+        assert main(["--config", str(other_cfg), "--out", str(other), "gen-data"]) == 0
+        capsys.readouterr()
+        code = main(["--config", str(tiny_cfg), "--out", str(other), "eval", str(ckpt),
+                     str(other / "corpus.bin")])
+        assert code == 2
+        assert "corpus has" in one_line_error(capsys)
 
     def test_train_missing_corpus_exits_2(self, tiny_cfg, tmp_path):
         code = main(["--config", str(tiny_cfg), "--out", str(tmp_path / "o"),

@@ -1,0 +1,129 @@
+"""The named-array container behind corpus.bin and checkpoints.
+
+The fuzz tests cut a valid file at any offset or overwrite any one byte:
+the reader must then return a loaded object or raise its typed error.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from voiceanalogy import container
+from voiceanalogy.corpus import (CORPUS_MAGIC, CorpusConfigError, build_corpus,
+                                 corpus_from_bytes, corpus_to_bytes)
+from voiceanalogy.cqt import CqtConfig
+from voiceanalogy.model import ModelConfig
+from voiceanalogy.training import (CHECKPOINT_MAGIC, CheckpointError, Trainer,
+                                   TrainConfig, load_checkpoint, save_checkpoint)
+
+FUZZ = settings(max_examples=150, deadline=None, database=None)
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return build_corpus(2, 2, 2, seed=1,
+                        cqt_config=CqtConfig(bins_per_octave=4, n_bins=16, hop=256))
+
+
+@pytest.fixture(scope="module")
+def corpus_blob(corpus):
+    return corpus_to_bytes(corpus)
+
+
+@pytest.fixture(scope="module")
+def checkpoint(corpus, tmp_path_factory):
+    """(directory, bytes) of a checkpoint after one step, so Adam state is saved."""
+    trainer = Trainer(corpus, TrainConfig(batch_size=4, steps=1),
+                      ModelConfig(bins=16, frames=16, channels=(4, 6), latent=8,
+                                  n_words=2, n_speakers=2))
+    trainer.train_step()
+    directory = tmp_path_factory.mktemp("checkpoint")
+    return directory, save_checkpoint(trainer, directory / "valid.bin")
+
+
+def damage(blob, magic, data):
+    """`blob` cut at an offset or with one byte overwritten; half the draws
+    land in the magic, version, length and JSON header."""
+    header_end = len(magic) + 5 + int.from_bytes(blob[len(magic) + 1:len(magic) + 5],
+                                                 "little")
+    limit = data.draw(st.sampled_from([header_end + 16, len(blob)]))
+    pos = data.draw(st.integers(0, limit - 1))
+    if data.draw(st.booleans()):
+        return blob[:pos]
+    return blob[:pos] + bytes([data.draw(st.integers(0, 255))]) + blob[pos + 1:]
+
+
+@FUZZ
+@given(data=st.data())
+def test_damaged_corpus_loads_or_raises_typed_error(corpus_blob, data):
+    try:
+        corpus_from_bytes(damage(corpus_blob, CORPUS_MAGIC, data))
+    except CorpusConfigError:
+        pass
+
+
+@FUZZ
+@given(data=st.data())
+def test_damaged_checkpoint_loads_or_raises_typed_error(corpus, checkpoint, data):
+    directory, blob = checkpoint
+    path = directory / "damaged.bin"
+    path.write_bytes(damage(blob, CHECKPOINT_MAGIC, data))
+    try:
+        load_checkpoint(path, corpus)
+    except CheckpointError:
+        pass
+
+
+def test_round_trip_keeps_names_dtypes_and_shapes():
+    arrays = {"b": np.arange(6, dtype=np.int64).reshape(2, 3), "a": np.linspace(0, 1, 5),
+              "empty": np.zeros((0, 4)), "rows": [np.ones(3), np.full(3, 2.0)]}
+    blob = container.pack(b"TEST", 7, {"k": [1, "x"]}, arrays)
+    meta, loaded = container.unpack(blob, b"TEST", 7, ValueError, "test")
+    assert meta == {"k": [1, "x"]}
+    assert list(loaded) == ["a", "b", "empty", "rows"]
+    for name, arr in arrays.items():
+        assert loaded[name].dtype == np.asarray(arr).dtype
+        np.testing.assert_array_equal(loaded[name], np.asarray(arr))
+
+
+def test_rows_of_different_shapes_rejected():
+    with pytest.raises(ValueError, match="rows differ"):
+        container.pack(b"TEST", 7, {}, {"rows": [np.ones(3), np.ones(4)]})
+
+
+def test_version_1_corpus_rejected(corpus_blob):
+    old = bytearray(corpus_blob)
+    old[len(CORPUS_MAGIC)] = 1
+    with pytest.raises(CorpusConfigError, match="unsupported version 1"):
+        corpus_from_bytes(bytes(old))
+
+
+def test_version_1_checkpoint_rejected(corpus, checkpoint):
+    directory, blob = checkpoint
+    old = bytearray(blob)
+    old[len(CHECKPOINT_MAGIC)] = 1
+    (directory / "v1.bin").write_bytes(bytes(old))
+    with pytest.raises(CheckpointError, match="unsupported version 1"):
+        load_checkpoint(directory / "v1.bin", corpus)
+
+
+@pytest.mark.parametrize("old, new", [(b'"variants_per_cell": 2', b'"variants_per_cell": 3'),
+                                      (b'"n_bins": 16', b'"n_bins": 12')])
+def test_corpus_metadata_disagreeing_with_arrays_rejected(corpus_blob, old, new):
+    assert corpus_blob.count(old) == 1
+    with pytest.raises(CorpusConfigError, match="array shapes"):
+        corpus_from_bytes(corpus_blob.replace(old, new))
+
+
+def test_zero_stride_checkpoint_rejected(corpus, checkpoint):
+    # the model config divides by its stride before any tensor is read
+    directory, blob = checkpoint
+    assert blob.count(b'"stride": 2') == 1
+    (directory / "stride0.bin").write_bytes(blob.replace(b'"stride": 2', b'"stride": 0'))
+    with pytest.raises(CheckpointError, match="division|modulo"):
+        load_checkpoint(directory / "stride0.bin", corpus)
+
+
+def test_trailing_bytes_rejected(corpus_blob):
+    with pytest.raises(CorpusConfigError, match="file has"):
+        corpus_from_bytes(corpus_blob + b"\x00")

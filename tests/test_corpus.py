@@ -103,6 +103,11 @@ class TestBuildCorpus:
         with pytest.raises(CorpusConfigError):
             build_corpus(2, 1, 2, seed=0)
 
+    def test_one_variant_rejected(self):
+        # one variant per cell puts every variant in the holdout range
+        with pytest.raises(CorpusConfigError, match="variants per cell"):
+            build_corpus(2, 2, 1, seed=0)
+
     def test_container_round_trip(self, small_corpus):
         blob = corpus_to_bytes(small_corpus)
         loaded = corpus_from_bytes(blob)

@@ -221,6 +221,11 @@ class TestInverse:
         with pytest.raises(SignalLengthError, match="63 frames"):
             inverse_cqt(spec, filterbank, iterations=1, signal_length=5000)
 
+    def test_bin_count_mismatch_rejected(self, filterbank, config):
+        spec = Spectrogram(np.ones((10, 63)), config)
+        with pytest.raises(CqtConfigError, match="10 bins.* 48"):
+            inverse_cqt(spec, filterbank, iterations=1, signal_length=4000)
+
     def test_iterations_must_be_positive(self, filterbank, config):
         spec = Spectrogram(np.zeros((config.n_bins, 20)), config)
         with pytest.raises(ValueError):

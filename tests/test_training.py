@@ -27,8 +27,7 @@ def tiny_trainer(corpus, **overrides):
                       checkpoint_interval=overrides.pop("checkpoint_interval", 100),
                       **overrides)
     mcfg = ModelConfig(n_words=corpus.n_words, n_speakers=corpus.n_speakers,
-                       transform=cfg.transform, lambda_adv=cfg.lambda_adv,
-                       **TINY_MODEL)
+                       transform=cfg.transform, **TINY_MODEL)
     return Trainer(corpus, cfg, mcfg), cfg, mcfg
 
 
