@@ -96,8 +96,11 @@ def cqt_config_from(cfg):
 
 
 def train_config_from(cfg):
-    return TR.TrainConfig(**{f.name: cfg[TRAIN_KEYS.get(f.name, f.name)]
-                             for f in fields(TR.TrainConfig)})
+    try:
+        return TR.TrainConfig(**{f.name: cfg[TRAIN_KEYS.get(f.name, f.name)]
+                                 for f in fields(TR.TrainConfig)})
+    except ValueError as exc:
+        raise ConfigError(f"config: {exc}") from None
 
 
 def write_pgm(values, path, flip_vertical=True):
@@ -143,6 +146,7 @@ def cmd_gen_data(cfg, out_dir):
 
 
 def cmd_train(cfg, out_dir, corpus_path):
+    train_cfg = train_config_from(cfg)
     if not os.path.exists(corpus_path):
         print(f"error: corpus not found: {corpus_path}", file=sys.stderr)
         return EXIT_USAGE
@@ -157,7 +161,7 @@ def cmd_train(cfg, out_dir, corpus_path):
               f"disc {rec.disc_loss:.4f} adv {rec.gen_adv_loss:.4f} "
               f"real_acc {rec.disc_real_accuracy:.2f}")
 
-    trainer, _ = TR.train(corpus, train_config_from(cfg), metrics_path=metrics_path,
+    trainer, _ = TR.train(corpus, train_cfg, metrics_path=metrics_path,
                           checkpoint_dir=out_dir, progress=progress)
     final = os.path.join(out_dir, "final_checkpoint.bin")
     TR.save_checkpoint(trainer, final)
@@ -178,6 +182,9 @@ def _load_clip(path, cqt_cfg):
 
 def cmd_convert(cfg, out_dir, checkpoint_path, corpus_path, a_path, b_path, c_path,
                 d_path):
+    if cfg["griffin_lim_iters"] < 1:
+        raise ConfigError(f"config: griffin_lim_iters must be at least 1, "
+                          f"got {cfg['griffin_lim_iters']}")
     for p in (checkpoint_path, corpus_path, a_path, b_path, c_path):
         if not os.path.exists(p):
             print(f"error: missing input: {p}", file=sys.stderr)

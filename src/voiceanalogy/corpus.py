@@ -314,6 +314,8 @@ def wav_read(path):
                 raise WavFormatError("fmt chunk too short", pos)
             fmt = struct.unpack("<HHIIHH", body[:16])
         elif chunk_id == b"data":
+            if size % 2:
+                raise WavFormatError(f"data chunk has odd length {size}", pos)
             data = body
         pos += 8 + size + (size & 1)
     if fmt is None:

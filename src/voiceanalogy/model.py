@@ -15,6 +15,8 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor
 
+TRANSFORMS = ("additive", "deep")
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -31,10 +33,17 @@ class ModelConfig:
     leaky_alpha: float = 0.2
 
     def __post_init__(self):
+        sizes = {"kernel": self.kernel, "stride": self.stride, "latent": self.latent,
+                 **{f"channels[{i}]": c for i, c in enumerate(self.channels)}}
+        for name, value in sizes.items():
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+        if self.padding < 0:
+            raise ValueError(f"padding must be at least 0, got {self.padding}")
         down = self.stride * self.stride
         if self.bins % down or self.frames % down:
             raise ValueError("bins and frames must be divisible by stride^2")
-        if self.transform not in ("additive", "deep"):
+        if self.transform not in TRANSFORMS:
             raise ValueError(f"unknown transform variant {self.transform!r}")
 
     @property
@@ -66,8 +75,9 @@ def _he_init(rng, shape, fan_in):
 class ParamSet:
     """Ordered name -> Tensor mapping with hashing and frozen views."""
 
-    def __init__(self, params):
+    def __init__(self, params, config):
         self.params = dict(params)
+        self.config = config
 
     def __getitem__(self, name):
         return self.params[name]
@@ -92,12 +102,7 @@ class ParamSet:
 
     def frozen(self):
         """Same arrays, gradients off; for adversarial generator updates."""
-        out = type(self).__new__(type(self))
-        out.params = {name: Tensor(p.data) for name, p in self.params.items()}
-        for attr in ("config",):
-            if hasattr(self, attr):
-                setattr(out, attr, getattr(self, attr))
-        return out
+        return ParamSet({name: Tensor(p.data) for name, p in self.params.items()}, self.config)
 
 
 class GeneratorParams(ParamSet):
@@ -125,8 +130,7 @@ class GeneratorParams(ParamSet):
             params["tr_fc1_b"] = Tensor(np.zeros(width), requires_grad=True)
             params["tr_fc2_w"] = _he_init(rng, (width, config.latent), width)
             params["tr_fc2_b"] = Tensor(np.zeros(config.latent), requires_grad=True)
-        super().__init__(params)
-        self.config = config
+        super().__init__(params, config)
 
 
 class DiscriminatorParams(ParamSet):
@@ -143,8 +147,7 @@ class DiscriminatorParams(ParamSet):
                              requires_grad=True),
             "head_b": Tensor(np.zeros(config.n_classes), requires_grad=True),
         }
-        super().__init__(params)
-        self.config = config
+        super().__init__(params, config)
 
 
 def spec_batch(specs, config):

@@ -36,13 +36,24 @@ def _unbroadcast(grad, shape):
     return grad
 
 
+# op -> (ufunc, vjp(g, a, b) -> (gradient for a, gradient for b))
+_ELEMENTWISE = {
+    "add": (np.add, lambda g, a, b: (g, g)),
+    "sub": (np.subtract, lambda g, a, b: (g, -g)),
+    "mul": (np.multiply, lambda g, a, b: (g * b, g * a)),
+}
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_track")
+    """A tensor tracks if it was built with requires_grad=True or is the
+    result of an op on a tracking input; only tracking results record
+    their parents and backward rule."""
+
+    __slots__ = ("data", "grad", "_parents", "_backward", "_track")
 
     def __init__(self, data, requires_grad=False):
         self.data = _as_array(data)
         self.grad = None
-        self.requires_grad = requires_grad
         self._parents = ()
         self._backward = None
         self._track = requires_grad
@@ -52,11 +63,7 @@ class Tensor:
         return self.data.shape
 
     def detach(self):
-        out = Tensor(self.data)
-        return out
-
-    def zero_grad(self):
-        self.grad = None
+        return Tensor(self.data)
 
     def _accumulate(self, g):
         if self.grad is None:
@@ -72,6 +79,10 @@ class Tensor:
             out._backward = backward_fn
         return out
 
+    def _unary(self, data, vjp):
+        """Result of a single-input op whose input gradient is vjp(out.grad)."""
+        return Tensor._result(data, (self,), lambda out: self._accumulate(vjp(out.grad)))
+
     # ---- elementwise ----
 
     def _binary(self, other, op_kind):
@@ -85,29 +96,18 @@ class Tensor:
         if result_shape != a.shape:
             raise ShapeMismatchError(
                 f"{op_kind}: second operand {b.shape} does not broadcast to first operand {a.shape}")
-        if op_kind == "add":
-            data = a + b
-        elif op_kind == "sub":
-            data = a - b
-        elif op_kind == "mul":
-            data = a * b
-        else:
+        if op_kind not in _ELEMENTWISE:
             raise ValueError(f"unknown elementwise op {op_kind!r}")
+        ufunc, vjp = _ELEMENTWISE[op_kind]
 
         def backward(out):
-            g = out.grad
-            if op_kind == "add":
-                ga, gb = g, g
-            elif op_kind == "sub":
-                ga, gb = g, -g
-            else:
-                ga, gb = g * b, g * a
+            ga, gb = vjp(out.grad, a, b)
             if self._track:
                 self._accumulate(_unbroadcast(ga, a.shape))
             if other._track:
                 other._accumulate(_unbroadcast(gb, b.shape))
 
-        return Tensor._result(data, (self, other), backward)
+        return Tensor._result(ufunc(a, b), (self, other), backward)
 
     def __add__(self, other):
         return self._binary(other, "add")
@@ -133,21 +133,11 @@ class Tensor:
         data = self.data.reshape(shape)
         if not 1 <= data.ndim <= 4:
             raise ShapeMismatchError(f"reshape target rank out of range: {data.shape}")
-
-        def backward(out):
-            if self._track:
-                self._accumulate(out.grad.reshape(old_shape))
-
-        return Tensor._result(data, (self,), backward)
+        return self._unary(data, lambda g: g.reshape(old_shape))
 
     def sum(self):
-        data = np.array([self.data.sum()])
-
-        def backward(out):
-            if self._track:
-                self._accumulate(np.full_like(self.data, out.grad[0]))
-
-        return Tensor._result(data, (self,), backward)
+        return self._unary(np.array([self.data.sum()]),
+                           lambda g: np.full_like(self.data, g[0]))
 
     # ---- matmul ----
 
@@ -175,41 +165,20 @@ class Tensor:
 
     def relu(self):
         mask = self.data > 0
-        data = np.where(mask, self.data, 0.0)
-
-        def backward(out):
-            if self._track:
-                self._accumulate(out.grad * mask)
-
-        return Tensor._result(data, (self,), backward)
+        return self._unary(np.where(mask, self.data, 0.0), lambda g: g * mask)
 
     def leaky_relu(self, alpha=0.2):
         mask = self.data > 0
-        data = np.where(mask, self.data, alpha * self.data)
-
-        def backward(out):
-            if self._track:
-                self._accumulate(out.grad * np.where(mask, 1.0, alpha))
-
-        return Tensor._result(data, (self,), backward)
+        return self._unary(np.where(mask, self.data, alpha * self.data),
+                           lambda g: g * np.where(mask, 1.0, alpha))
 
     def tanh(self):
         data = np.tanh(self.data)
-
-        def backward(out):
-            if self._track:
-                self._accumulate(out.grad * (1.0 - data * data))
-
-        return Tensor._result(data, (self,), backward)
+        return self._unary(data, lambda g: g * (1.0 - data * data))
 
     def sigmoid(self):
         data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(out):
-            if self._track:
-                self._accumulate(out.grad * data * (1.0 - data))
-
-        return Tensor._result(data, (self,), backward)
+        return self._unary(data, lambda g: g * data * (1.0 - data))
 
     # ---- backward entry point ----
 
@@ -392,14 +361,13 @@ def softmax_cross_entropy(logits, target_classes):
     lse = np.log(np.exp(shifted).sum(axis=1))
     loss = np.array([(lse - shifted[np.arange(n), targets]).mean()])
 
-    def backward(out):
-        if logits._track:
-            p = np.exp(shifted)
-            p /= p.sum(axis=1, keepdims=True)
-            p[np.arange(n), targets] -= 1.0
-            logits._accumulate(out.grad[0] * p / n)
+    def vjp(g):
+        p = np.exp(shifted)
+        p /= p.sum(axis=1, keepdims=True)
+        p[np.arange(n), targets] -= 1.0
+        return g[0] * p / n
 
-    return Tensor._result(loss, (logits,), backward)
+    return logits._unary(loss, vjp)
 
 
 def mse_loss(pred, target):
@@ -415,13 +383,7 @@ def mse_loss(pred, target):
     n = p.shape[0] if p.ndim >= 2 else 1
     diff = p - t
     loss = np.array([0.5 * (diff * diff).sum() / n])
-
-    def backward(out):
-        if pred._track:
-            pred._accumulate(out.grad[0] * diff / n)
-
-    parents = (pred, target) if isinstance(target, Tensor) else (pred,)
-    return Tensor._result(loss, parents, backward)
+    return pred._unary(loss, lambda g: g[0] * diff / n)
 
 
 # ---- optimizers ----
@@ -430,24 +392,9 @@ class MissingGradientError(RuntimeError):
     pass
 
 
-class Optimizer:
-    def step(self, named_params):
-        raise NotImplementedError
-
-    def state_tensors(self):
-        """Named float64 arrays that belong in a checkpoint."""
-        return {}
-
-    def load_state_tensors(self, tensors):
-        pass
-
-
-class SGD(Optimizer):
-    kind = "sgd"
-
+class SGD:
     def __init__(self, learning_rate):
         self.learning_rate = learning_rate
-        self.step_count = 0
 
     def step(self, named_params):
         for name, p in named_params.items():
@@ -455,18 +402,9 @@ class SGD(Optimizer):
                 raise MissingGradientError(f"parameter {name!r} has no gradient")
             p.data -= self.learning_rate * p.grad
             p.grad = None
-        self.step_count += 1
-
-    def state_tensors(self):
-        return {"step_count": np.array([float(self.step_count)])}
-
-    def load_state_tensors(self, tensors):
-        self.step_count = int(tensors["step_count"][0])
 
 
-class Adam(Optimizer):
-    kind = "adam"
-
+class Adam:
     def __init__(self, learning_rate=2e-4, beta1=0.5, beta2=0.999, epsilon=1e-8):
         self.learning_rate = learning_rate
         self.beta1 = beta1
@@ -498,6 +436,7 @@ class Adam(Optimizer):
             p.grad = None
 
     def state_tensors(self):
+        """Named float64 arrays that belong in a checkpoint."""
         out = {"step_count": np.array([float(self.step_count)])}
         for name in sorted(self._m):
             out[f"m/{name}"] = self._m[name]

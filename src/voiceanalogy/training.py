@@ -15,7 +15,7 @@ from . import container
 from . import tensor as T
 from .corpus import sample_quadruple
 from .cqt import estimate_f0, frequency_to_bin
-from .model import (DiscriminatorParams, GeneratorParams, ModelConfig,
+from .model import (TRANSFORMS, DiscriminatorParams, GeneratorParams, ModelConfig,
                     discriminator_forward, discriminator_loss, generator_forward,
                     generator_total_loss, spec_batch)
 from .tensor import Adam, Tensor
@@ -51,10 +51,20 @@ class TrainConfig:
     transform: str = "additive"
 
     def __post_init__(self):
-        if self.batch_size % 2:
-            raise ValueError("batch_size must be even (half-generated batch rule)")
-        if self.steps <= 0:
-            raise ValueError("steps must be positive")
+        rules = [(name, getattr(self, name) >= 1, "at least 1")
+                 for name in ("steps", "disc_steps_per_gen_step", "checkpoint_interval",
+                              "log_interval")]
+        rules += [("batch_size", self.batch_size >= 2 and self.batch_size % 2 == 0,
+                   "even and at least 2 (half-generated batch rule)"),
+                  ("learning_rate", self.learning_rate > 0, "positive"),
+                  ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
+                  ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
+                  ("epsilon", self.epsilon > 0, "positive"),
+                  ("lambda_adv", self.lambda_adv >= 0, "at least 0"),
+                  ("transform", self.transform in TRANSFORMS, f"one of {TRANSFORMS}")]
+        for name, ok, wanted in rules:
+            if not ok:
+                raise ValueError(f"{name} must be {wanted}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -86,21 +96,17 @@ class Batch:
     target_classes: list        # intended (word, speaker) class of each generated sample
 
 
-def make_batch(corpus, model_config, rng, batch_size, holdout=False):
+def make_batch(corpus, model_config, rng, batch_size):
     half = batch_size // 2
-    if holdout:
-        lo, hi = corpus.holdout_start, corpus.variants_per_cell
-    else:
-        lo, hi = 0, corpus.holdout_start
     real = []
     real_classes = []
     for _ in range(half):
         s = int(rng.integers(corpus.n_speakers))
         w = int(rng.integers(corpus.n_words))
-        v = int(rng.integers(lo, hi))
+        v = int(rng.integers(0, corpus.holdout_start))
         real.append(corpus.spectrogram(s, w, v))
         real_classes.append(model_config.class_index(w, s))
-    quads = [sample_quadruple(corpus, rng, holdout=holdout) for _ in range(half)]
+    quads = [sample_quadruple(corpus, rng) for _ in range(half)]
     return Batch(
         real_x=spec_batch(real, model_config),
         real_classes=real_classes,

@@ -139,6 +139,36 @@ class TestCommands:
         assert "variants per cell" in one_line_error(capsys)
         assert not (tmp_path / "o" / "corpus.bin").exists()
 
+    @pytest.mark.parametrize("command, setting", [
+        ("train", "batch_size = 7"), ("train", "batch_size = 0"), ("train", "steps = 0"),
+        ("train", "transform = affine"), ("train", "log_interval = 0"),
+        ("train", "checkpoint_interval = 0"), ("train", "disc_steps_per_gen_step = 0"),
+        ("train", "learning_rate = -1"), ("train", "beta1 = 1.0"), ("train", "beta2 = -0.1"),
+        ("train", "epsilon = 0"), ("train", "lambda_adv = -1"),
+        ("convert", "griffin_lim_iters = 0")])
+    def test_bad_config_value_exits_2_before_any_work(self, tmp_path, capsys, command,
+                                                      setting):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"version=1\n{setting}\n")
+        out = tmp_path / "o"
+        # the inputs do not exist: the config is checked before they are looked at
+        inputs = [str(tmp_path / "nope.bin")] * (1 if command == "train" else 6)
+        code = main(["--config", str(bad), "--out", str(out), command, *inputs])
+        assert code == 2
+        assert setting.split(" = ")[0] in one_line_error(capsys)
+        assert not out.exists()
+
+    def test_render_odd_length_wav_exits_2(self, tmp_path, capsys):
+        wav = tmp_path / "odd.wav"
+        wav_write(Utterance(0, 0, np.zeros(4000), 8000, 0), wav)
+        raw = bytearray(wav.read_bytes())
+        idx = raw.index(b"data")
+        raw[idx + 4:idx + 8] = (7999).to_bytes(4, "little")
+        wav.write_bytes(bytes(raw))
+        code = main(["--out", str(tmp_path / "o"), "render", str(wav), str(tmp_path / "x.pgm")])
+        assert code == 2
+        assert "odd length 7999" in one_line_error(capsys)
+
     def test_train_truncated_corpus_exits_2(self, tiny_cfg, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["--config", str(tiny_cfg), "--out", str(out), "gen-data"]) == 0

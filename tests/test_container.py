@@ -120,7 +120,7 @@ def test_zero_stride_checkpoint_rejected(corpus, checkpoint):
     directory, blob = checkpoint
     assert blob.count(b'"stride": 2') == 1
     (directory / "stride0.bin").write_bytes(blob.replace(b'"stride": 2', b'"stride": 0'))
-    with pytest.raises(CheckpointError, match="division|modulo"):
+    with pytest.raises(CheckpointError, match="stride"):
         load_checkpoint(directory / "stride0.bin", corpus)
 
 

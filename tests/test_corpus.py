@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from voiceanalogy.corpus import (AnalogyQuadruple, CorpusConfigError, SpeakerProfile,
                                  Utterance, WavFormatError, WordProfile, build_corpus,
@@ -215,6 +216,43 @@ class TestWavIO:
         with pytest.raises(WavFormatError, match="unsupported"):
             wav_read(bad)
 
+    def test_odd_length_data_chunk_rejected(self, tmp_path):
+        # the pad byte keeps the file length, so only the size field is odd
+        path = tmp_path / "odd.wav"
+        wav_write(Utterance(0, 0, np.zeros(4000), 8000, 0), path)
+        raw = bytearray(path.read_bytes())
+        idx = raw.index(b"data")
+        raw[idx + 4:idx + 8] = (7999).to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(WavFormatError, match=f"odd length 7999 \\(at byte {idx}\\)"):
+            wav_read(path)
+
     def test_overscale_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             wav_write(Utterance(0, 0, np.array([1.5]), 8000, 0), tmp_path / "x.wav")
+
+
+@pytest.fixture(scope="module")
+def wav_blob(tmp_path_factory):
+    path = tmp_path_factory.mktemp("wav") / "valid.wav"
+    wav_write(Utterance(0, 0, np.sin(np.arange(400) / 7.0), 8000, 0), path)
+    return path.read_bytes()
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_damaged_wav_reads_or_raises_typed_error(wav_blob, tmp_path_factory, data):
+    """Cut a valid WAV at any offset or overwrite any one byte (half the draws
+    in the 44-byte header): wav_read returns an Utterance or WavFormatError."""
+    limit = data.draw(st.sampled_from([44, len(wav_blob)]))
+    pos = data.draw(st.integers(0, limit - 1))
+    if data.draw(st.booleans()):
+        damaged = wav_blob[:pos]
+    else:
+        damaged = wav_blob[:pos] + bytes([data.draw(st.integers(0, 255))]) + wav_blob[pos + 1:]
+    path = tmp_path_factory.getbasetemp() / "damaged.wav"
+    path.write_bytes(damaged)
+    try:
+        assert isinstance(wav_read(path), Utterance)
+    except WavFormatError:
+        pass

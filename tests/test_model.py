@@ -44,6 +44,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             ModelConfig(transform="affine")
 
+    @pytest.mark.parametrize("field, value, name", [
+        ("latent", -4, "latent"), ("kernel", 0, "kernel"), ("stride", 0, "stride"),
+        ("channels", (16, 0), r"channels\[1\]"), ("padding", -1, "padding")])
+    def test_bad_size_names_the_field(self, field, value, name):
+        with pytest.raises(ValueError, match=name):
+            ModelConfig(**{field: value})
+
 
 class TestEncodeDecode:
     def test_encode_shape_and_determinism(self, gen_params):
