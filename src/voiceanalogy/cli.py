@@ -39,9 +39,12 @@ CONFIG_DEFAULTS = {
     "corpus_seed": 0,
     **{TRAIN_KEYS.get(k, k): v for k, v in asdict(TR.TrainConfig()).items()},
     # rendering / inversion
-    "griffin_lim_iters": 50,
+    "griffin_lim_iters": 30,
     "phase_seed": 0,
 }
+
+# numpy's default_rng accepts only non-negative seeds
+SEED_KEYS = ("corpus_seed", "train_seed", "phase_seed")
 
 
 class ConfigError(ValueError):
@@ -71,6 +74,9 @@ def parse_config(path=None, overrides=None):
         raise ConfigError(f"unsupported config version {cfg['version']}")
     if overrides:
         cfg.update(overrides)
+    for key in SEED_KEYS:
+        if cfg[key] < 0:
+            raise ConfigError(f"config: {key} must be non-negative, got {cfg[key]}")
     return cfg
 
 

@@ -145,17 +145,25 @@ class TestCommands:
         ("train", "checkpoint_interval = 0"), ("train", "disc_steps_per_gen_step = 0"),
         ("train", "learning_rate = -1"), ("train", "beta1 = 1.0"), ("train", "beta2 = -0.1"),
         ("train", "epsilon = 0"), ("train", "lambda_adv = -1"),
-        ("convert", "griffin_lim_iters = 0")])
+        ("convert", "griffin_lim_iters = 0"), ("gen-data", "corpus_seed = -1"),
+        ("train", "train_seed = -1"), ("convert", "phase_seed = -1")])
     def test_bad_config_value_exits_2_before_any_work(self, tmp_path, capsys, command,
                                                       setting):
         bad = tmp_path / "bad.cfg"
         bad.write_text(f"version=1\n{setting}\n")
         out = tmp_path / "o"
         # the inputs do not exist: the config is checked before they are looked at
-        inputs = [str(tmp_path / "nope.bin")] * (1 if command == "train" else 6)
+        n_inputs = {"gen-data": 0, "train": 1, "convert": 6}[command]
+        inputs = [str(tmp_path / "nope.bin")] * n_inputs
         code = main(["--config", str(bad), "--out", str(out), command, *inputs])
         assert code == 2
         assert setting.split(" = ")[0] in one_line_error(capsys)
+        assert not out.exists()
+
+    def test_negative_seed_flag_exits_2_before_any_work(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["--seed", "-1", "--out", str(out), "gen-data"]) == 2
+        assert "corpus_seed" in one_line_error(capsys)
         assert not out.exists()
 
     def test_render_odd_length_wav_exits_2(self, tmp_path, capsys):

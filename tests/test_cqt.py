@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from voiceanalogy import cqt
+from voiceanalogy.corpus import make_speakers, make_words, synth_utterance
 from voiceanalogy.cqt import (CqtConfig, CqtConfigError, SignalLengthError,
-                              Spectrogram, _adjoint_cqt, compress, decompress,
-                              design_filterbank, estimate_f0, forward_cqt,
+                              Spectrogram, _adjoint_cqt, _lsq_synthesize, compress,
+                              decompress, design_filterbank, estimate_f0, forward_cqt,
                               frequency_to_bin, inverse_cqt, n_frames)
 
 # default, and one whose max_window is odd (1241) with more bins per octave,
@@ -64,6 +66,42 @@ def reference_adjoint(grid, config, signal_length):
             s = t * config.hop + pad - (kern.size - 1) // 2
             x[s:s + kern.size] += np.real(grid[k, t] * kern)
     return x[pad:pad + signal_length]
+
+
+def normal_equation_cg(grid, filterbank, x0, cg_iterations):
+    """Conjugate gradients on the normal equations A*A x = A* grid, the
+    residual kept in signal space: the reference for the CGLS solver."""
+    n = x0.size
+
+    def normal_op(x):
+        return _adjoint_cqt(forward_cqt(x, filterbank), filterbank, n)
+
+    x = x0
+    r = _adjoint_cqt(grid, filterbank, n) - normal_op(x)
+    p = r.copy()
+    rs = r @ r
+    for _ in range(cg_iterations):
+        np_ = normal_op(p)
+        denom = p @ np_
+        if denom <= 0:
+            break
+        alpha = rs / denom
+        x = x + alpha * p
+        r = r - alpha * np_
+        rs_next = r @ r
+        if rs_next < 1e-20 * rs:
+            break
+        p = r + (rs_next / rs) * p
+        rs = rs_next
+    return x
+
+
+def criterion_4_spectrograms(config, filterbank):
+    """The two utterances the acceptance gate's criterion 4 inverts."""
+    speakers, words = make_speakers(2), make_words(4)
+    for speaker, word, seed in ((speakers[0], words[0], 3), (speakers[1], words[2], 8)):
+        samples = synth_utterance(speaker, word, seed).samples
+        yield compress(forward_cqt(samples, filterbank), config), samples.size
 
 
 class TestFilterbank:
@@ -230,6 +268,60 @@ class TestInverse:
         spec = Spectrogram(np.zeros((config.n_bins, 20)), config)
         with pytest.raises(ValueError):
             inverse_cqt(spec, filterbank, iterations=0)
+
+
+class TestSolver:
+    @pytest.fixture
+    def problem(self, filterbank, config):
+        """An inconsistent grid (no signal analyses to it) and a warm start."""
+        rng = np.random.default_rng(4)
+        shape = (config.n_bins, n_frames(4000, config.hop))
+        grid = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        return grid, rng.normal(size=4000)
+
+    def test_matches_normal_equation_cg(self, filterbank, problem):
+        grid, x0 = problem
+        got, _ = _lsq_synthesize(grid, filterbank, x0, forward_cqt(x0, filterbank), 40)
+        want = normal_equation_cg(grid, filterbank, x0, 40)
+        assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("steps", [1, 3, 40])
+    def test_returns_analysis_of_its_audio(self, filterbank, problem, steps):
+        grid, x0 = problem
+        x, ax = _lsq_synthesize(grid, filterbank, x0, forward_cqt(x0, filterbank), steps)
+        want = forward_cqt(x, filterbank)
+        assert np.linalg.norm(ax - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_consistent_grid_stops_at_its_signal(self, filterbank):
+        x = tone(220.0)
+        grid = forward_cqt(x, filterbank)
+        got, ax = _lsq_synthesize(grid, filterbank, x, grid, 3)
+        np.testing.assert_array_equal(got, x)
+        np.testing.assert_array_equal(ax, grid)
+
+
+class TestFastGriffinLim:
+    def test_criterion_4_utterances_within_0_07_at_50_iterations(self, filterbank, config):
+        for spec, n in criterion_4_spectrograms(config, filterbank):
+            audio, errors = inverse_cqt(spec, filterbank, iterations=50, signal_length=n,
+                                        return_errors=True)
+            assert errors[-1] < 0.07
+            # the reported error is that of the returned audio, measured afresh,
+            # not the solver's running analysis carried across 50 rounds
+            target = decompress(spec.values, spec.gamma)
+            measured = (np.linalg.norm(np.abs(forward_cqt(audio, filterbank)) - target)
+                        / np.linalg.norm(target))
+            assert measured == pytest.approx(errors[-1], rel=1e-9)
+
+    def test_beats_plain_update_at_10_iterations(self, filterbank, config, monkeypatch):
+        def final_errors():
+            return [inverse_cqt(spec, filterbank, iterations=10, signal_length=n,
+                                return_errors=True)[1][-1]
+                    for spec, n in criterion_4_spectrograms(config, filterbank)]
+        fast = final_errors()
+        monkeypatch.setattr(cqt, "FGLA_ALPHA", 0.0)
+        plain = final_errors()
+        assert all(f < p for f, p in zip(fast, plain)), (fast, plain)
 
 
 class TestEstimateF0:

@@ -4,14 +4,20 @@
 leaves in `out._backward`, counts backward FLOPs from `out._parents` and
 their `_track` flags, and patches module and class attributes by name.
 One traced train step must produce every span the benchmark reports, and
-leaving the tracer must put every patched attribute back.
+leaving the tracer must put every patched attribute back. It counts CQT
+applies by patching `cqt.forward_cqt` and `cqt._adjoint_cqt`, so phase
+recovery must look both up as module attributes.
 """
 
 import importlib.util
+import inspect
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from voiceanalogy import cqt
 from voiceanalogy.corpus import build_corpus
 from voiceanalogy.cqt import CqtConfig
 from voiceanalogy.model import ModelConfig
@@ -58,3 +64,18 @@ def test_traced_train_step_spans_every_op_and_restores_attributes(tracer_module,
     after = attributes(owners)
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
+
+
+def test_traced_inversion_counts_cg_iterations_applies_per_round(tracer_module):
+    cfg = CqtConfig()
+    fb = cqt.design_filterbank(cfg)
+    signal = np.sin(2 * np.pi * 220.0 * np.arange(4000) / cfg.sample_rate)
+    spec = cqt.compress(cqt.forward_cqt(signal, fb), cfg)
+    tracer = tracer_module.Tracer()
+    with tracer.installed():
+        cqt.inverse_cqt(spec, fb, iterations=4, signal_length=signal.size)
+    calls = Counter(span[0] for span in tracer.spans)
+    per_round = inspect.signature(cqt.inverse_cqt).parameters["cg_iterations"].default
+    assert calls["cqt.inverse_cqt"] == 1
+    assert calls["cqt.forward_cqt"] == 4 * per_round
+    assert calls["cqt.adjoint"] == 4 * per_round
