@@ -208,7 +208,7 @@ def cmd_convert(cfg, out_dir, checkpoint_path, corpus_path, a_path, b_path, c_pa
         specs.append(Q.compress(Q.forward_cqt(utt.samples, fb), cqt_cfg))
     mcfg = trainer.model_config
     x = [Tensor(spec_batch([s], mcfg)) for s in specs]
-    pred = generator_forward(trainer.gen_params, *x)
+    pred = generator_forward(trainer.gen_params.frozen(), *x)
     t_frames = specs[0].frames
     values = np.maximum(pred.data[0, 0, :, :t_frames], 0.0)
     out_spec = Q.Spectrogram(values, cqt_cfg)

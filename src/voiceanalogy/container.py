@@ -9,6 +9,7 @@ caller's error class on any malformed input.
 
 import json
 import math
+import os
 
 import numpy as np
 
@@ -72,3 +73,17 @@ def unpack(blob, magic, version, error, what):
         arrays[name] = np.frombuffer(blob, dtype, math.prod(shape), end).reshape(shape)
         end += size
     return meta, arrays
+
+
+def write_atomic(path, data):
+    """Write `data` to `path` through a temp file in the same directory, so
+    a write that fails leaves the previous file, and no temp file, behind."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

@@ -369,8 +369,7 @@ def corpus_from_bytes(blob):
 
 
 def save_corpus(corpus, path):
-    with open(path, "wb") as f:
-        f.write(corpus_to_bytes(corpus))
+    container.write_atomic(path, corpus_to_bytes(corpus))
 
 
 def load_corpus(path):

@@ -40,6 +40,8 @@ class ModelConfig:
                 raise ValueError(f"{name} must be at least 1, got {value}")
         if self.padding < 0:
             raise ValueError(f"padding must be at least 0, got {self.padding}")
+        if not 0 <= self.leaky_alpha <= 1:
+            raise ValueError(f"leaky_alpha must be in [0, 1], got {self.leaky_alpha!r}")
         down = self.stride * self.stride
         if self.bins % down or self.frames % down:
             raise ValueError("bins and frames must be divisible by stride^2")
@@ -101,7 +103,8 @@ class ParamSet:
         return h.hexdigest()
 
     def frozen(self):
-        """Same arrays, gradients off; for adversarial generator updates."""
+        """Same arrays, gradients off: for inference, and for the network
+        held fixed in an adversarial update."""
         return ParamSet({name: Tensor(p.data) for name, p in self.params.items()}, self.config)
 
 

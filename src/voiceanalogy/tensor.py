@@ -67,8 +67,12 @@ class Tensor:
 
     def _accumulate(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a fresh array in this tensor's shape, never `g` itself (the vjp
+            # of add hands one array to both parents); adding 0.0 turns a
+            # -0.0 into +0.0, as accumulating onto zeros did
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     @staticmethod
     def _result(data, parents, backward_fn):
@@ -168,9 +172,14 @@ class Tensor:
         return self._unary(np.where(mask, self.data, 0.0), lambda g: g * mask)
 
     def leaky_relu(self, alpha=0.2):
-        mask = self.data > 0
-        return self._unary(np.where(mask, self.data, alpha * self.data),
-                           lambda g: g * np.where(mask, 1.0, alpha))
+        if not 0.0 <= alpha <= 1.0:
+            raise ValueError(f"leaky_relu alpha must be in [0, 1], got {alpha!r}")
+        x = self.data
+        # for alpha in (0, 1], max(x, alpha*x) is where(x > 0, x, alpha*x)
+        # bit for bit, signed zeros, infinities and NaN included, in fewer
+        # passes; at alpha 0 it would turn +inf into max(inf, 0*inf) = nan
+        data = np.maximum(x, alpha * x) if alpha > 0 else np.where(x > 0, x, 0.0 * x)
+        return self._unary(data, lambda g: np.where(x > 0, g, alpha * g))
 
     def tanh(self):
         data = np.tanh(self.data)
@@ -249,7 +258,10 @@ def _im2col(x, kh, kw, stride, pad):
     n, c, h, w = x.shape
     ho = _conv_out_size(h, kh, stride, pad)
     wo = _conv_out_size(w, kw, stride, pad)
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    xp = x
+    if pad:
+        xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        xp[:, :, pad:pad + h, pad:pad + w] = x
     windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
     windows = windows[:, :, ::stride, ::stride]  # n, c, ho, wo, kh, kw
     cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, ho * wo)
@@ -404,6 +416,11 @@ class SGD:
             p.grad = None
 
 
+# Adam streams its arrays in blocks of this many elements, so the block's
+# moments, gradient, parameter and two scratch buffers stay in cache
+_ADAM_BLOCK = 1 << 15
+
+
 class Adam:
     def __init__(self, learning_rate=2e-4, beta1=0.5, beta2=0.999, epsilon=1e-8):
         self.learning_rate = learning_rate
@@ -419,20 +436,35 @@ class Adam:
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1 ** self.step_count
         bc2 = 1.0 - b2 ** self.step_count
+        lr, eps = self.learning_rate, self.epsilon
+        scratch = np.empty(_ADAM_BLOCK), np.empty(_ADAM_BLOCK)
         for name, p in named_params.items():
             if p.grad is None:
                 raise MissingGradientError(f"parameter {name!r} has no gradient")
-            g = p.grad
             if name not in self._m:
-                self._m[name] = np.zeros_like(p.data)
-                self._v[name] = np.zeros_like(p.data)
-            m = self._m[name]
-            v = self._v[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p.data -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.epsilon)
+                self._m[name] = np.zeros(p.data.shape)
+                self._v[name] = np.zeros(p.data.shape)
+            m = self._m[name].reshape(-1)
+            v = self._v[name].reshape(-1)
+            g = p.grad.reshape(-1)
+            x = p.data.reshape(-1)  # a view unless p.data is not contiguous
+            # per element: m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
+            # x -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps), in that order
+            for start in range(0, x.size, _ADAM_BLOCK):
+                block = slice(start, start + _ADAM_BLOCK)
+                mb, vb, gb, xb = m[block], v[block], g[block], x[block]
+                t, u = (s[:xb.size] for s in scratch)
+                mb *= b1
+                mb += np.multiply(gb, 1.0 - b1, out=t)
+                vb *= b2
+                np.multiply(gb, 1.0 - b2, out=t)
+                vb += np.multiply(t, gb, out=t)
+                np.sqrt(np.divide(vb, bc2, out=t), out=t)
+                t += eps
+                np.multiply(np.divide(mb, bc1, out=u), lr, out=u)
+                xb -= np.divide(u, t, out=u)
+            if not np.may_share_memory(x, p.data):
+                p.data[...] = x.reshape(p.data.shape)
             p.grad = None
 
     def state_tensors(self):

@@ -149,12 +149,12 @@ class Trainer:
         self.step = 0
 
     def disc_step(self, batch):
-        gen_x = generator_forward(self.gen_params, Tensor(batch.gen_a),
+        # the generated half enters detached, so its forward records no tape
+        gen_x = generator_forward(self.gen_params.frozen(), Tensor(batch.gen_a),
                                   Tensor(batch.gen_b), Tensor(batch.gen_c))
         loss, logits = discriminator_loss(self.disc_params, batch.real_x,
                                           batch.real_classes, gen_x)
         loss_v = _check_finite(loss.data[0], self.step, "disc_loss")
-        self.gen_params.zero_grads()
         self.disc_params.zero_grads()
         loss.backward()
         self.disc_opt.step(self.disc_params.named())
@@ -247,8 +247,7 @@ def save_checkpoint(trainer, path):
     meta = {"train": asdict(trainer.config), "model": asdict(trainer.model_config),
             "step": trainer.step, "rng": trainer.rng.bit_generator.state}
     data = container.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, meta, trainer.named_tensors())
-    with open(path, "wb") as f:
-        f.write(data)
+    container.write_atomic(path, data)
     return data
 
 
@@ -313,7 +312,7 @@ def evaluate(trainer, corpus, n_quadruples=64, seed=12345):
     b = Tensor(spec_batch([q.b for q in quads], mcfg))
     c = Tensor(spec_batch([q.c for q in quads], mcfg))
     d = spec_batch([q.d for q in quads], mcfg)
-    pred = generator_forward(trainer.gen_params, a, b, c)
+    pred = generator_forward(trainer.gen_params.frozen(), a, b, c)
     recon = float(T.mse_loss(pred, d).data[0])
 
     hits = 0
@@ -337,6 +336,6 @@ def evaluate(trainer, corpus, n_quadruples=64, seed=12345):
         v = int(rng.integers(corpus.holdout_start, corpus.variants_per_cell))
         real.append(corpus.spectrogram(s, w, v))
         classes.append(mcfg.class_index(w, s))
-    logits = discriminator_forward(trainer.disc_params, Tensor(spec_batch(real, mcfg)))
+    logits = discriminator_forward(trainer.disc_params.frozen(), Tensor(spec_batch(real, mcfg)))
     acc = float((logits.data.argmax(axis=1) == np.array(classes)).mean())
     return EvalReport(recon, f0_score, acc, n_quadruples)

@@ -197,6 +197,17 @@ class TestCommands:
         assert code == 2
         assert "final_checkpoint.bin" in one_line_error(capsys)
 
+    def test_eval_checkpoint_with_bad_leaky_alpha_exits_2(self, tiny_cfg, tmp_path, capsys):
+        corpus_path, ckpt = gen_and_train(tiny_cfg, tmp_path / "run")
+        blob = ckpt.read_bytes()
+        assert blob.count(b'"leaky_alpha": 0.2') == 1
+        ckpt.write_bytes(blob.replace(b'"leaky_alpha": 0.2', b'"leaky_alpha": 1.5'))
+        capsys.readouterr()
+        code = main(["--config", str(tiny_cfg), "--out", str(tmp_path / "run"), "eval",
+                     str(ckpt), str(corpus_path)])
+        assert code == 2
+        assert "leaky_alpha must be in [0, 1]" in one_line_error(capsys)
+
     @pytest.mark.parametrize("change", ["n_words = 3", "n_bins = 20"])
     def test_eval_mismatched_corpus_exits_2(self, tiny_cfg, tmp_path, capsys, change):
         _, ckpt = gen_and_train(tiny_cfg, tmp_path / "run")

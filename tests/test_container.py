@@ -4,13 +4,17 @@ The fuzz tests cut a valid file at any offset or overwrite any one byte:
 the reader must then return a loaded object or raise its typed error.
 """
 
+import io
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from voiceanalogy import container
 from voiceanalogy.corpus import (CORPUS_MAGIC, CorpusConfigError, build_corpus,
-                                 corpus_from_bytes, corpus_to_bytes)
+                                 corpus_from_bytes, corpus_to_bytes, load_corpus,
+                                 save_corpus)
 from voiceanalogy.cqt import CqtConfig
 from voiceanalogy.model import ModelConfig
 from voiceanalogy.training import (CHECKPOINT_MAGIC, CheckpointError, Trainer,
@@ -122,6 +126,65 @@ def test_zero_stride_checkpoint_rejected(corpus, checkpoint):
     (directory / "stride0.bin").write_bytes(blob.replace(b'"stride": 2', b'"stride": 0'))
     with pytest.raises(CheckpointError, match="stride"):
         load_checkpoint(directory / "stride0.bin", corpus)
+
+
+@pytest.mark.parametrize("alpha", [b"1.5", b"NaN"])
+def test_leaky_alpha_outside_unit_interval_checkpoint_rejected(corpus, checkpoint, alpha):
+    directory, blob = checkpoint
+    assert blob.count(b'"leaky_alpha": 0.2') == 1
+    path = directory / "alpha.bin"
+    path.write_bytes(blob.replace(b'"leaky_alpha": 0.2', b'"leaky_alpha": ' + alpha))
+    with pytest.raises(CheckpointError, match="leaky_alpha"):
+        load_checkpoint(path, corpus)
+
+
+def break_write(monkeypatch, stage):
+    """Make write_atomic fail: its file write stops halfway, or the rename fails."""
+    if stage == "write":
+        class HalfWrite(io.FileIO):
+            def write(self, data):
+                super().write(memoryview(data)[:len(data) // 2])
+                raise OSError("disk full")
+        monkeypatch.setattr(container, "open", HalfWrite, raising=False)
+    else:
+        def refuse(src, dst):
+            raise OSError("disk full")
+        monkeypatch.setattr(container.os, "replace", refuse)
+
+
+@pytest.mark.parametrize("stage", ["write", "replace"])
+def test_failed_checkpoint_write_keeps_previous_file(corpus, checkpoint, tmp_path,
+                                                     monkeypatch, stage):
+    trainer = load_checkpoint(checkpoint[0] / "valid.bin", corpus)
+    path = tmp_path / "ckpt.bin"
+    assert save_checkpoint(trainer, path) == path.read_bytes()
+    previous = path.read_bytes()
+    trainer.train_step()
+    break_write(monkeypatch, stage)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(trainer, path)
+    assert path.read_bytes() == previous
+    assert os.listdir(tmp_path) == ["ckpt.bin"]
+
+
+@pytest.mark.parametrize("stage", ["write", "replace"])
+def test_failed_corpus_write_keeps_previous_file(corpus, tmp_path, monkeypatch, stage):
+    path = tmp_path / "corpus.bin"
+    path.write_bytes(b"previous corpus")
+    break_write(monkeypatch, stage)
+    with pytest.raises(OSError, match="disk full"):
+        save_corpus(corpus, path)
+    assert path.read_bytes() == b"previous corpus"
+    assert os.listdir(tmp_path) == ["corpus.bin"]
+
+
+def test_corpus_write_replaces_previous_file(corpus, corpus_blob, tmp_path):
+    path = tmp_path / "corpus.bin"
+    path.write_bytes(b"previous corpus")
+    save_corpus(corpus, path)
+    assert path.read_bytes() == corpus_blob
+    assert load_corpus(path).n_words == corpus.n_words
+    assert os.listdir(tmp_path) == ["corpus.bin"]
 
 
 def test_trailing_bytes_rejected(corpus_blob):

@@ -143,3 +143,22 @@ class TestConv2dTranspose:
             return (y * y).sum()
 
         assert T.gradient_check(loss, {"x": x, "w": w}) < 1e-7
+
+
+class TestIm2col:
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    def test_matches_np_pad_version(self, stride, pad):
+        x = np.random.default_rng(stride + 10 * pad).normal(size=(2, 3, 7, 8))
+        x[0, 0, 0, :2] = [-0.0, np.nan]
+        kh, kw = 3, 2
+        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+        windows = windows[:, :, ::stride, ::stride]
+        ho, wo = windows.shape[2:4]
+        expected = np.ascontiguousarray(
+            windows.transpose(0, 1, 4, 5, 2, 3).reshape(2, 3 * kh * kw, ho * wo))
+        cols, got_ho, got_wo = T._im2col(x, kh, kw, stride, pad)
+        assert (got_ho, got_wo) == (ho, wo)
+        assert cols.flags.c_contiguous
+        assert cols.tobytes() == expected.tobytes()

@@ -245,6 +245,110 @@ class TestOptimizers:
         np.testing.assert_array_equal(other._m["p"], opt._m["p"])
 
 
+def old_adam_step(opt_state, named_params, lr, b1, b2, eps):
+    """The unblocked Adam update the blocked one must match bit for bit."""
+    opt_state["t"] += 1
+    bc1 = 1.0 - b1 ** opt_state["t"]
+    bc2 = 1.0 - b2 ** opt_state["t"]
+    for name, p in named_params.items():
+        m = opt_state.setdefault("m/" + name, np.zeros_like(p.data))
+        v = opt_state.setdefault("v/" + name, np.zeros_like(p.data))
+        g = p.grad
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        p.grad = None
+
+
+class TestBlockedAdam:
+    BLOCK = T._ADAM_BLOCK
+
+    @pytest.mark.parametrize("size", [1, BLOCK - 1, BLOCK, 3 * BLOCK + 17])
+    def test_bit_identical_to_unblocked(self, size):
+        rng = np.random.default_rng(size)
+        start = rng.normal(size=size)
+        new = {"w": Tensor(start.copy(), requires_grad=True),
+               "b": Tensor(rng.normal(size=(3, 1, 1)), requires_grad=True)}
+        old = {name: Tensor(p.data.copy(), requires_grad=True) for name, p in new.items()}
+        opt, state = Adam(3e-3, 0.5, 0.999, 1e-8), {"t": 0}
+        for _ in range(5):
+            grads = {name: rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 3)
+                     for name, p in new.items()}
+            special = [0.0, -0.0, 1e-300, -5e-324][:size - 1]
+            grads["w"][:len(special)] = special
+            for name in new:
+                new[name].grad = grads[name].copy()
+                old[name].grad = grads[name].copy()
+            opt.step(new)
+            old_adam_step(state, old, 3e-3, 0.5, 0.999, 1e-8)
+            for name in new:
+                assert new[name].data.tobytes() == old[name].data.tobytes()
+                assert opt._m[name].tobytes() == state["m/" + name].tobytes()
+                assert opt._v[name].tobytes() == state["v/" + name].tobytes()
+                assert new[name].grad is None
+        assert not np.array_equal(new["w"].data, start)
+
+    def test_non_contiguous_parameter_updated_in_place(self):
+        base = np.random.default_rng(1).normal(size=(6, 8))
+        p = Tensor(base.T, requires_grad=True)  # a Fortran-ordered view of base
+        ref = Tensor(base.T.copy(), requires_grad=True)
+        grad = np.random.default_rng(2).normal(size=(8, 6))
+        p.grad, ref.grad = grad.copy(), grad.copy()
+        Adam().step({"p": p})
+        old_adam_step({"t": 0}, {"p": ref}, 2e-4, 0.5, 0.999, 1e-8)
+        assert p.data.base is base
+        assert np.ascontiguousarray(p.data).tobytes() == ref.data.tobytes()
+
+    def test_missing_gradient_still_raised(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+        a.grad = np.ones(3)
+        with pytest.raises(MissingGradientError, match="'b'"):
+            Adam().step({"a": a, "b": Tensor(np.ones(2), requires_grad=True)})
+
+
+SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.5, 5e-324, -5e-324])
+
+
+class TestLeakyReluBitIdentity:
+    @pytest.mark.parametrize("alpha", [0.0, 0.2, 1.0])
+    def test_forward_and_backward_match_masked_form(self, alpha):
+        x = np.repeat(SPECIAL, SPECIAL.size)
+        g = np.tile(SPECIAL, SPECIAL.size)   # every input paired with every gradient
+        mask = x > 0
+        with np.errstate(invalid="ignore"):  # 0 * inf
+            expected_y = np.where(mask, x, alpha * x)
+            expected_gx = np.zeros_like(x) + g * np.where(mask, 1.0, alpha)
+            xt = Tensor(x.copy(), requires_grad=True)
+            y = xt.leaky_relu(alpha)
+            y.grad = g.copy()
+            y._backward(y)
+        assert y.data.tobytes() == expected_y.tobytes()
+        assert xt.grad.tobytes() == expected_gx.tobytes()
+
+    @pytest.mark.parametrize("alpha", [-0.1, 1.5, np.nan, np.inf])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            Tensor([1.0, -1.0]).leaky_relu(alpha)
+
+
+class TestFirstGradient:
+    def test_add_parents_do_not_share_a_gradient(self):
+        # the vjp of add hands one array to both parents
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([3.0, 4.0], requires_grad=True)
+        ((a + b) * Tensor([5.0, 7.0])).sum().backward()
+        assert not np.shares_memory(a.grad, b.grad)
+        a.grad += 1.0
+        np.testing.assert_array_equal(b.grad, [5.0, 7.0])
+
+    def test_negative_zero_first_gradient_stored_as_positive_zero(self):
+        x = Tensor([2.0], requires_grad=True)
+        (x * Tensor([-0.0])).sum().backward()
+        assert x.grad.tobytes() == (np.zeros(1) + np.array([-0.0])).tobytes()
+
+
 class TestGradientCheck:
     def test_linear_function_near_exact(self):
         x = Tensor(np.random.default_rng(9).normal(size=(5,)), requires_grad=True)

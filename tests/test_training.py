@@ -3,7 +3,8 @@ import pytest
 
 from voiceanalogy.corpus import build_corpus
 from voiceanalogy.cqt import CqtConfig
-from voiceanalogy.model import ModelConfig, discriminator_forward, spec_batch
+from voiceanalogy.model import (ModelConfig, discriminator_forward, discriminator_loss,
+                                generator_forward, spec_batch)
 from voiceanalogy.tensor import Tensor
 from voiceanalogy.training import (CheckpointError, MetricsRecord, Trainer,
                                    TrainConfig, TrainingDivergedError, evaluate,
@@ -134,6 +135,39 @@ class TestSteps:
         batch = make_batch(corpus, mcfg, trainer.rng, 4)
         with pytest.raises(TrainingDivergedError, match="step"):
             trainer.gen_step(batch)
+
+
+def taped_disc_step(trainer, batch):
+    """disc_step as it was with the generator forward on the tape."""
+    gen_x = generator_forward(trainer.gen_params, Tensor(batch.gen_a),
+                              Tensor(batch.gen_b), Tensor(batch.gen_c))
+    loss, logits = discriminator_loss(trainer.disc_params, batch.real_x,
+                                      batch.real_classes, gen_x)
+    trainer.gen_params.zero_grads()
+    trainer.disc_params.zero_grads()
+    loss.backward()
+    trainer.disc_opt.step(trainer.disc_params.named())
+    pred = logits.data.argmax(axis=1)
+    n_real = len(batch.real_classes)
+    return (float(loss.data[0]),
+            float((pred[:n_real] == np.array(batch.real_classes)).mean()),
+            float((pred[n_real:] == trainer.model_config.fake_class).mean()))
+
+
+def test_disc_step_matches_taped_path(corpus):
+    new, _, mcfg = tiny_trainer(corpus, seed=5)
+    old, _, _ = tiny_trainer(corpus, seed=5)
+    for trainer in (new, old):
+        trainer.train_step()     # a trained head, so the logits are not all tied
+    for _ in range(3):
+        batch = make_batch(corpus, mcfg, new.rng, 4)
+        assert new.disc_step(batch) == taped_disc_step(old, batch)
+        assert new.disc_params.content_hash() == old.disc_params.content_hash()
+        assert new.disc_opt.state_tensors().keys() == old.disc_opt.state_tensors().keys()
+        for name, arr in new.disc_opt.state_tensors().items():
+            assert arr.tobytes() == old.disc_opt.state_tensors()[name].tobytes()
+        assert all(p.grad is None for _, p in new.gen_params.items())
+    assert new.gen_params.content_hash() == old.gen_params.content_hash()
 
 
 class TestDeterminism:
