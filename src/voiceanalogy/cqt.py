@@ -2,10 +2,10 @@
 
 Log-spaced filterbank of Hann-windowed complex exponentials held as one
 zero-padded kernel matrix, so the forward transform is one frame gather
-plus one matmul and its exact adjoint is the transposed matmul plus one
-overlap-add; log-compressed magnitude spectrograms, phase recovery back
-to audio by fast Griffin-Lim whose consistency step is a warm-started
-conjugate-gradient least-squares (CGLS) solve, and a simple
+plus one matmul and its exact adjoint is the transposed matmul plus a
+per-frame overlap-add; log-compressed magnitude spectrograms, phase
+recovery back to audio by fast Griffin-Lim whose consistency step is a
+warm-started conjugate-gradient least-squares (CGLS) solve, and a simple
 fundamental-frequency estimator used for evaluation.
 """
 
@@ -144,13 +144,20 @@ def decompress(values, gamma=DEFAULT_GAMMA):
 
 
 def _adjoint_cqt(grid, filterbank, signal_length):
-    """Exact adjoint of forward_cqt under the real inner product."""
+    """Exact adjoint of forward_cqt under the real inner product.
+
+    The transposed matmul gives, for each frame t, the max_window samples
+    Re(grid[:, t] @ kernels); they are overlap-added where forward_cqt read
+    frame t, at padded-signal samples t*hop onwards, by one slice add per
+    frame in increasing t. Each sample thus sums its terms in frame order
+    from +0.0, so the result is the same bytes as a bincount over a per-call
+    T x max_window index, without building that index."""
     width = filterbank.max_window
-    # Re(grid.T @ kernels), T x width
+    hop = filterbank.config.hop
     frames = np.concatenate([grid.real, -grid.imag]).T @ filterbank.basis
-    # padded-signal sample that each frame entry was read from in forward_cqt
-    index = np.arange(grid.shape[1])[:, None] * filterbank.config.hop + np.arange(width)
-    padded = np.bincount(index.ravel(), frames.ravel(), minlength=signal_length + width)
+    padded = np.zeros(signal_length + width)
+    for t, row in enumerate(frames):
+        padded[t * hop:t * hop + width] += row
     mid = (width - 1) // 2
     return padded[mid:mid + signal_length]
 

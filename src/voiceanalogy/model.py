@@ -8,7 +8,8 @@ conv stack with |W|*|S| + 1 output logits: one class per (word, speaker)
 pair plus a single fake class.
 """
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -16,6 +17,27 @@ from . import tensor as T
 from .tensor import Tensor
 
 TRANSFORMS = ("additive", "deep")
+
+
+def check_field_types(config):
+    """Raise ValueError naming the first field of the dataclass `config`
+    whose value has the wrong type. An int field, and each item of a tuple
+    field, takes an integer, not a bool and not a float such as 4.0; a float
+    field takes a real number, not a bool."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        kind = int if f.type is tuple else f.type
+        items = enumerate(value) if f.type is tuple else [(None, value)]
+        for i, v in items:
+            if kind is int:
+                ok, wanted = isinstance(v, numbers.Integral), "an integer"
+            elif kind is float:
+                ok, wanted = isinstance(v, numbers.Real), "a real number"
+            else:
+                continue
+            if isinstance(v, bool) or not ok:
+                name = f.name if i is None else f"{f.name}[{i}]"
+                raise ValueError(f"{name} must be {wanted}, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -33,6 +55,7 @@ class ModelConfig:
     leaky_alpha: float = 0.2
 
     def __post_init__(self):
+        check_field_types(self)
         sizes = {"kernel": self.kernel, "stride": self.stride, "latent": self.latent,
                  **{f"channels[{i}]": c for i, c in enumerate(self.channels)}}
         for name, value in sizes.items():
@@ -71,15 +94,45 @@ class ModelConfig:
 
 
 def _he_init(rng, shape, fan_in):
-    return Tensor(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape), requires_grad=True)
+    return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
 
 
 class ParamSet:
-    """Ordered name -> Tensor mapping with hashing and frozen views."""
+    """Ordered name -> Tensor mapping with hashing and frozen views.
 
-    def __init__(self, params, config):
-        self.params = dict(params)
+    A subclass names its parameters in `layout(config)`, an ordered
+    name -> (shape, fan_in) table: a parameter with a fan-in starts
+    He-normal, one with fan_in None at zero. The draws follow table order,
+    so a seed fixes every initial weight."""
+
+    def __init__(self, config, rng):
+        self.params = {name: Tensor(np.zeros(shape) if fan_in is None
+                                    else _he_init(rng, shape, fan_in), requires_grad=True)
+                       for name, (shape, fan_in) in self.layout(config).items()}
         self.config = config
+
+    @classmethod
+    def from_arrays(cls, config, arrays):
+        """The parameters `layout` names, copied from the name -> array
+        mapping `arrays` with no random draw; raises KeyError for a missing
+        name and ValueError for a wrong dtype or shape. The copies are
+        writeable for Adam and aligned for BLAS, which views of a checkpoint
+        file need not be."""
+        params = {}
+        for name, (shape, _) in cls.layout(config).items():
+            arr = arrays[name]
+            if (arr.dtype, arr.shape) != (np.float64, shape):
+                raise ValueError(f"{name} is {arr.dtype} {arr.shape}, "
+                                 f"the model needs float64 {shape}")
+            params[name] = Tensor(arr.copy(), requires_grad=True)
+        return cls._of(params, config)
+
+    @classmethod
+    def _of(cls, params, config):
+        out = object.__new__(cls)
+        out.params = params
+        out.config = config
+        return out
 
     def __getitem__(self, name):
         return self.params[name]
@@ -105,52 +158,52 @@ class ParamSet:
     def frozen(self):
         """Same arrays, gradients off: for inference, and for the network
         held fixed in an adversarial update."""
-        return ParamSet({name: Tensor(p.data) for name, p in self.params.items()}, self.config)
+        return self._of({name: Tensor(p.data) for name, p in self.params.items()},
+                        self.config)
 
 
 class GeneratorParams(ParamSet):
-    def __init__(self, config, rng):
+    @staticmethod
+    def layout(config):
         c1, c2 = config.channels
         k = config.kernel
-        params = {
-            "enc_conv1_w": _he_init(rng, (c1, 1, k, k), k * k),
-            "enc_conv1_b": Tensor(np.zeros((c1, 1, 1)), requires_grad=True),
-            "enc_conv2_w": _he_init(rng, (c2, c1, k, k), c1 * k * k),
-            "enc_conv2_b": Tensor(np.zeros((c2, 1, 1)), requires_grad=True),
-            "enc_fc_w": _he_init(rng, (config.feature_size, config.latent),
-                                 config.feature_size),
-            "enc_fc_b": Tensor(np.zeros(config.latent), requires_grad=True),
-            "dec_fc_w": _he_init(rng, (config.latent, config.feature_size), config.latent),
-            "dec_fc_b": Tensor(np.zeros(config.feature_size), requires_grad=True),
-            "dec_tconv1_w": _he_init(rng, (c2, c1, k, k), c2 * k * k),
-            "dec_tconv1_b": Tensor(np.zeros((c1, 1, 1)), requires_grad=True),
-            "dec_tconv2_w": _he_init(rng, (c1, 1, k, k), c1 * k * k),
-            "dec_tconv2_b": Tensor(np.zeros((1, 1, 1)), requires_grad=True),
+        table = {
+            "enc_conv1_w": ((c1, 1, k, k), k * k),
+            "enc_conv1_b": ((c1, 1, 1), None),
+            "enc_conv2_w": ((c2, c1, k, k), c1 * k * k),
+            "enc_conv2_b": ((c2, 1, 1), None),
+            "enc_fc_w": ((config.feature_size, config.latent), config.feature_size),
+            "enc_fc_b": ((config.latent,), None),
+            "dec_fc_w": ((config.latent, config.feature_size), config.latent),
+            "dec_fc_b": ((config.feature_size,), None),
+            "dec_tconv1_w": ((c2, c1, k, k), c2 * k * k),
+            "dec_tconv1_b": ((c1, 1, 1), None),
+            "dec_tconv2_w": ((c1, 1, k, k), c1 * k * k),
+            "dec_tconv2_b": ((1, 1, 1), None),
         }
         if config.transform == "deep":
             width = 2 * config.latent
-            params["tr_fc1_w"] = _he_init(rng, (width, width), width)
-            params["tr_fc1_b"] = Tensor(np.zeros(width), requires_grad=True)
-            params["tr_fc2_w"] = _he_init(rng, (width, config.latent), width)
-            params["tr_fc2_b"] = Tensor(np.zeros(config.latent), requires_grad=True)
-        super().__init__(params, config)
+            table["tr_fc1_w"] = ((width, width), width)
+            table["tr_fc1_b"] = ((width,), None)
+            table["tr_fc2_w"] = ((width, config.latent), width)
+            table["tr_fc2_b"] = ((config.latent,), None)
+        return table
 
 
 class DiscriminatorParams(ParamSet):
-    def __init__(self, config, rng):
+    @staticmethod
+    def layout(config):
         c1, c2 = config.channels
         k = config.kernel
         # Zero-initialized head: untrained logits are exactly uniform.
-        params = {
-            "conv1_w": _he_init(rng, (c1, 1, k, k), k * k),
-            "conv1_b": Tensor(np.zeros((c1, 1, 1)), requires_grad=True),
-            "conv2_w": _he_init(rng, (c2, c1, k, k), c1 * k * k),
-            "conv2_b": Tensor(np.zeros((c2, 1, 1)), requires_grad=True),
-            "head_w": Tensor(np.zeros((config.feature_size, config.n_classes)),
-                             requires_grad=True),
-            "head_b": Tensor(np.zeros(config.n_classes), requires_grad=True),
+        return {
+            "conv1_w": ((c1, 1, k, k), k * k),
+            "conv1_b": ((c1, 1, 1), None),
+            "conv2_w": ((c2, c1, k, k), c1 * k * k),
+            "conv2_b": ((c2, 1, 1), None),
+            "head_w": ((config.feature_size, config.n_classes), None),
+            "head_b": ((config.n_classes,), None),
         }
-        super().__init__(params, config)
 
 
 def spec_batch(specs, config):

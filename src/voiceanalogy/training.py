@@ -16,8 +16,8 @@ from . import tensor as T
 from .corpus import sample_quadruple
 from .cqt import estimate_f0, frequency_to_bin
 from .model import (TRANSFORMS, DiscriminatorParams, GeneratorParams, ModelConfig,
-                    discriminator_forward, discriminator_loss, generator_forward,
-                    generator_total_loss, spec_batch)
+                    check_field_types, discriminator_forward, discriminator_loss,
+                    generator_forward, generator_total_loss, spec_batch)
 from .tensor import Adam, Tensor
 
 CHECKPOINT_MAGIC = b"AVCKPT\x00"
@@ -51,6 +51,7 @@ class TrainConfig:
     transform: str = "additive"
 
     def __post_init__(self):
+        check_field_types(self)
         rules = [(name, getattr(self, name) >= 1, "at least 1")
                  for name in ("steps", "disc_steps_per_gen_step", "checkpoint_interval",
                               "log_interval")]
@@ -128,8 +129,6 @@ def _check_finite(value, step, term):
 
 class Trainer:
     def __init__(self, corpus, train_config, model_config=None):
-        self.corpus = corpus
-        self.config = train_config
         if model_config is None:
             model_config = ModelConfig(
                 bins=corpus.cqt_config.n_bins,
@@ -137,11 +136,19 @@ class Trainer:
                 n_speakers=corpus.n_speakers,
                 transform=train_config.transform,
             )
+        init_rng = np.random.default_rng(train_config.seed + 1)
+        self._assemble(corpus, train_config, model_config,
+                       GeneratorParams(model_config, init_rng),
+                       DiscriminatorParams(model_config, init_rng))
+
+    def _assemble(self, corpus, train_config, model_config, gen_params, disc_params):
+        """Step 0 over the given networks, with fresh optimizers."""
+        self.corpus = corpus
+        self.config = train_config
         self.model_config = model_config
         self.rng = np.random.default_rng(train_config.seed)
-        init_rng = np.random.default_rng(train_config.seed + 1)
-        self.gen_params = GeneratorParams(model_config, init_rng)
-        self.disc_params = DiscriminatorParams(model_config, init_rng)
+        self.gen_params = gen_params
+        self.disc_params = disc_params
         self.gen_opt = Adam(train_config.learning_rate, train_config.beta1,
                             train_config.beta2, train_config.epsilon)
         self.disc_opt = Adam(train_config.learning_rate, train_config.beta1,
@@ -252,6 +259,10 @@ def save_checkpoint(trainer, path):
 
 
 def load_checkpoint(path, corpus):
+    """The trainer saved at `path`, built from the file's arrays with no
+    random draw. The parameters are copies, since training updates them in
+    place; the Adam moments stay read-only views of the file, which Adam
+    copies on their first update."""
     with open(path, "rb") as f:
         meta, tensors = container.unpack(f.read(), CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                                          CheckpointError, f"checkpoint {path}")
@@ -264,24 +275,34 @@ def load_checkpoint(path, corpus):
             raise CheckpointError(
                 f"checkpoint {path}: model is for (bins, words, speakers) = {model_shape}, "
                 f"corpus has {corpus_shape}")
-        trainer = Trainer(corpus, train_cfg, model_cfg)
-        trainer.step = meta["step"]
+        step = meta["step"]
+        if type(step) is not int or step < 0:
+            raise ValueError(f"step must be a non-negative integer, got {step!r}")
+        trainer = object.__new__(Trainer)
+        trainer._assemble(corpus, train_cfg, model_cfg,
+                          GeneratorParams.from_arrays(model_cfg, _under("gen/", tensors)),
+                          DiscriminatorParams.from_arrays(model_cfg, _under("disc/", tensors)))
+        trainer.step = step
         trainer.rng.bit_generator.state = meta["rng"]
         for prefix, params, opt in (("gen", trainer.gen_params, trainer.gen_opt),
                                     ("disc", trainer.disc_params, trainer.disc_opt)):
-            state = {k.split("/", 1)[1]: v for k, v in tensors.items()
-                     if k.startswith(f"{prefix}_opt/")}
+            state = _under(f"{prefix}_opt/", tensors)
             for name, p in params.items():
-                arr = tensors[f"{prefix}/{name}"]
-                for a in (arr, state.get(f"m/{name}", arr), state.get(f"v/{name}", arr)):
+                for key in (f"m/{name}", f"v/{name}"):
+                    a = state.get(key, p.data)
                     if (a.dtype, a.shape) != (p.data.dtype, p.data.shape):
-                        raise ValueError(f"{prefix}/{name} is {a.dtype} {a.shape}, "
+                        raise ValueError(f"{prefix}_opt/{key} is {a.dtype} {a.shape}, "
                                          f"the model needs {p.data.dtype} {p.data.shape}")
-                p.data = arr.copy()  # the optimizer updates it in place
             opt.load_state_tensors(state)
     except container.MALFORMED as exc:
         raise CheckpointError(f"checkpoint {path}: malformed metadata: {exc}") from None
     return trainer
+
+
+def _under(prefix, tensors):
+    """The arrays whose names start with `prefix`, named without it."""
+    return {name[len(prefix):]: arr for name, arr in tensors.items()
+            if name.startswith(prefix)}
 
 
 # ---- evaluation ----

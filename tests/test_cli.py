@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from voiceanalogy import cli
+from voiceanalogy import cli, container
 from voiceanalogy.cli import (ConfigError, main, parse_config, write_pgm)
 from voiceanalogy.corpus import Utterance, wav_write
+from voiceanalogy.training import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
 
 
 @pytest.fixture
@@ -207,6 +208,32 @@ class TestCommands:
                      str(ckpt), str(corpus_path)])
         assert code == 2
         assert "leaky_alpha must be in [0, 1]" in one_line_error(capsys)
+
+    @pytest.mark.parametrize("section, key, value", [("train", "batch_size", 4.0),
+                                                     ("train", "steps", 2.5),
+                                                     ("model", "leaky_alpha", True)])
+    def test_eval_checkpoint_with_wrongly_typed_value_exits_2(self, tiny_cfg, tmp_path,
+                                                              capsys, section, key, value):
+        corpus_path, ckpt = gen_and_train(tiny_cfg, tmp_path / "run")
+        meta, arrays = container.unpack(ckpt.read_bytes(), CHECKPOINT_MAGIC,
+                                        CHECKPOINT_VERSION, ValueError, "checkpoint")
+        meta[section][key] = value
+        ckpt.write_bytes(container.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, meta, arrays))
+        capsys.readouterr()
+        code = main(["--config", str(tiny_cfg), "--out", str(tmp_path / "run"), "eval",
+                     str(ckpt), str(corpus_path)])
+        assert code == 2
+        assert f"malformed metadata: {key} must be" in one_line_error(capsys)
+
+    def test_eval_twice_writes_identical_report(self, tiny_cfg, tmp_path):
+        out = tmp_path / "run"
+        corpus_path, ckpt = gen_and_train(tiny_cfg, out)
+        reports = []
+        for _ in range(2):
+            assert main(["--config", str(tiny_cfg), "--out", str(out), "eval", str(ckpt),
+                         str(corpus_path)]) == 0
+            reports.append((out / "eval_report.txt").read_bytes())
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("change", ["n_words = 3", "n_bins = 20"])
     def test_eval_mismatched_corpus_exits_2(self, tiny_cfg, tmp_path, capsys, change):

@@ -6,6 +6,7 @@ the reader must then return a loaded object or raise its typed error.
 
 import io
 import os
+import re
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from voiceanalogy.corpus import (CORPUS_MAGIC, CorpusConfigError, build_corpus,
                                  save_corpus)
 from voiceanalogy.cqt import CqtConfig
 from voiceanalogy.model import ModelConfig
-from voiceanalogy.training import (CHECKPOINT_MAGIC, CheckpointError, Trainer,
-                                   TrainConfig, load_checkpoint, save_checkpoint)
+from voiceanalogy.training import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CheckpointError,
+                                   Trainer, TrainConfig, load_checkpoint, save_checkpoint)
 
 FUZZ = settings(max_examples=150, deadline=None, database=None)
 
@@ -136,6 +137,25 @@ def test_leaky_alpha_outside_unit_interval_checkpoint_rejected(corpus, checkpoin
     path.write_bytes(blob.replace(b'"leaky_alpha": 0.2', b'"leaky_alpha": ' + alpha))
     with pytest.raises(CheckpointError, match="leaky_alpha"):
         load_checkpoint(path, corpus)
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("model", "channels"), [4, 6.0], "channels[1] must be an integer"),
+    (("train", "seed"), False, "seed must be an integer"),
+    (("step",), 1.0, "step must be a non-negative integer"),
+    (("step",), -1, "step must be a non-negative integer")])
+def test_wrongly_typed_checkpoint_metadata_rejected(corpus, checkpoint, path, value, message):
+    directory, blob = checkpoint
+    meta, arrays = container.unpack(blob, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, ValueError,
+                                    "checkpoint")
+    parent = meta
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    (directory / "typed.bin").write_bytes(
+        container.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, meta, arrays))
+    with pytest.raises(CheckpointError, match=re.escape(message)):
+        load_checkpoint(directory / "typed.bin", corpus)
 
 
 def break_write(monkeypatch, stage):

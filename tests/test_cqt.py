@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from voiceanalogy import cqt
+from voiceanalogy import cli, cqt
 from voiceanalogy.corpus import make_speakers, make_words, synth_utterance
 from voiceanalogy.cqt import (CqtConfig, CqtConfigError, SignalLengthError,
                               Spectrogram, _adjoint_cqt, _lsq_synthesize, compress,
@@ -66,6 +66,18 @@ def reference_adjoint(grid, config, signal_length):
             s = t * config.hop + pad - (kern.size - 1) // 2
             x[s:s + kern.size] += np.real(grid[k, t] * kern)
     return x[pad:pad + signal_length]
+
+
+def bincount_adjoint(grid, filterbank, signal_length):
+    """The adjoint's overlap-add as one bincount over a T x max_window index
+    of padded-signal samples. bincount sums each sample's terms in frame
+    order from +0.0, so the slice adds must give the same bytes."""
+    width = filterbank.max_window
+    frames = np.concatenate([grid.real, -grid.imag]).T @ filterbank.basis
+    index = np.arange(grid.shape[1])[:, None] * filterbank.config.hop + np.arange(width)
+    padded = np.bincount(index.ravel(), frames.ravel(), minlength=signal_length + width)
+    mid = (width - 1) // 2
+    return padded[mid:mid + signal_length]
 
 
 def normal_equation_cg(grid, filterbank, x0, cg_iterations):
@@ -194,6 +206,15 @@ class TestOperator:
         got = _adjoint_cqt(y, design_filterbank(cfg), n)
         want = reference_adjoint(y, cfg, n)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", [4000, 4001])
+    def test_adjoint_bytes_equal_bincount_overlap_add(self, cfg, n):
+        fb = design_filterbank(cfg)
+        rng = np.random.default_rng(n + 1)
+        shape = (cfg.n_bins, n_frames(n, cfg.hop))
+        y = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        y[:, 1] = 0.0  # a silent frame adds signed zeros
+        assert _adjoint_cqt(y, fb, n).tobytes() == bincount_adjoint(y, fb, n).tobytes()
 
     def test_adjoint_identity(self, cfg):
         fb = design_filterbank(cfg)
@@ -342,3 +363,24 @@ class TestEstimateF0:
     def test_silence(self, filterbank, config):
         spec = compress(forward_cqt(np.zeros(4000), filterbank), config)
         assert estimate_f0(spec) is None
+
+
+def test_cli_convert_d_wav_same_as_with_bincount_adjoint(tmp_path, monkeypatch):
+    """CLI convert at griffin_lim_iters = 10 writes the d.wav bytes that the
+    bincount overlap-add gives."""
+    config = tmp_path / "tiny.cfg"
+    config.write_text("version = 1\nbins_per_octave = 4\nn_bins = 16\nhop = 256\n"
+                      "variants_per_cell = 3\nn_words = 2\nsteps = 2\nbatch_size = 4\n"
+                      "griffin_lim_iters = 10\n")
+    out = tmp_path / "run"
+    run = ["--config", str(config), "--out", str(out)]
+    assert cli.main(run + ["gen-data"]) == 0
+    assert cli.main(run + ["train", str(out / "corpus.bin")]) == 0
+    samples = out / "samples"
+    inputs = [str(out / "final_checkpoint.bin"), str(out / "corpus.bin"),
+              str(samples / "speaker0_red.wav"), str(samples / "speaker1_red.wav"),
+              str(samples / "speaker0_blue.wav")]
+    assert cli.main(run + ["convert", *inputs, str(out / "slices.wav")]) == 0
+    monkeypatch.setattr(cqt, "_adjoint_cqt", bincount_adjoint)
+    assert cli.main(run + ["convert", *inputs, str(out / "bincount.wav")]) == 0
+    assert (out / "slices.wav").read_bytes() == (out / "bincount.wav").read_bytes()

@@ -1,6 +1,9 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from voiceanalogy import model
 from voiceanalogy.corpus import build_corpus
 from voiceanalogy.cqt import CqtConfig
 from voiceanalogy.model import (ModelConfig, discriminator_forward, discriminator_loss,
@@ -36,6 +39,22 @@ class TestConfig:
     def test_odd_batch_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(batch_size=7)
+
+    @pytest.mark.parametrize("kind", [TrainConfig, ModelConfig])
+    def test_wrongly_typed_values_rejected_by_name(self, kind):
+        for field in fields(kind):
+            default = getattr(kind(), field.name)
+            if field.type is int:
+                bad = [True, float(default), default + 0.5]
+            elif field.type is float:
+                bad = [True]
+            elif field.type is tuple:
+                bad = [default[:-1] + (float(default[-1]),), default[:-1] + (True,)]
+            else:
+                continue
+            for value in bad:
+                with pytest.raises(ValueError, match=rf"^{field.name}\b"):
+                    kind(**{field.name: value})
 
     def test_nonpositive_steps_rejected(self):
         with pytest.raises(ValueError):
@@ -201,6 +220,33 @@ class TestCheckpoint:
         loaded = load_checkpoint(p1, corpus)
         save_checkpoint(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_load_draws_no_weights_and_keeps_moments_read_only(self, corpus, tmp_path,
+                                                               monkeypatch):
+        trainer, _, _ = tiny_trainer(corpus)
+        trainer.train_step()
+        path = tmp_path / "a.bin"
+        save_checkpoint(trainer, path)
+
+        def no_draw(*args):
+            raise AssertionError("a load drew initial weights")
+        monkeypatch.setattr(model, "_he_init", no_draw)
+        loaded = load_checkpoint(path, corpus)
+        assert loaded.gen_params.content_hash() == trainer.gen_params.content_hash()
+        assert loaded.disc_params.content_hash() == trainer.disc_params.content_hash()
+        opts = (loaded.gen_opt, loaded.disc_opt)
+        moments = [(state, name, arr) for opt in opts for state in (opt._m, opt._v)
+                   for name, arr in state.items()]
+        assert moments and not any(arr.flags.writeable for _, _, arr in moments)
+        loaded.train_step()
+        trainer.train_step()
+        for state, name, arr in moments:
+            assert state[name] is not arr and state[name].flags.writeable
+        for new, old in zip(opts, (trainer.gen_opt, trainer.disc_opt)):
+            for name, arr in new.state_tensors().items():
+                assert arr.tobytes() == old.state_tensors()[name].tobytes()
+        assert loaded.gen_params.content_hash() == trainer.gen_params.content_hash()
+        assert loaded.disc_params.content_hash() == trainer.disc_params.content_hash()
 
     def test_bad_magic(self, corpus, tmp_path):
         p = tmp_path / "bad.bin"
