@@ -8,36 +8,15 @@ conv stack with |W|*|S| + 1 output logits: one class per (word, speaker)
 pair plus a single fake class.
 """
 
-import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
+from .typecheck import check_field_types
 
 TRANSFORMS = ("additive", "deep")
-
-
-def check_field_types(config):
-    """Raise ValueError naming the first field of the dataclass `config`
-    whose value has the wrong type. An int field, and each item of a tuple
-    field, takes an integer, not a bool and not a float such as 4.0; a float
-    field takes a real number, not a bool."""
-    for f in fields(config):
-        value = getattr(config, f.name)
-        kind = int if f.type is tuple else f.type
-        items = enumerate(value) if f.type is tuple else [(None, value)]
-        for i, v in items:
-            if kind is int:
-                ok, wanted = isinstance(v, numbers.Integral), "an integer"
-            elif kind is float:
-                ok, wanted = isinstance(v, numbers.Real), "a real number"
-            else:
-                continue
-            if isinstance(v, bool) or not ok:
-                name = f.name if i is None else f"{f.name}[{i}]"
-                raise ValueError(f"{name} must be {wanted}, got {v!r}")
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,10 @@ from . import tensor as T
 from .corpus import sample_quadruple
 from .cqt import estimate_f0, frequency_to_bin
 from .model import (TRANSFORMS, DiscriminatorParams, GeneratorParams, ModelConfig,
-                    check_field_types, discriminator_forward, discriminator_loss,
-                    generator_forward, generator_total_loss, spec_batch)
+                    discriminator_forward, discriminator_loss, generator_forward,
+                    generator_total_loss, spec_batch)
 from .tensor import Adam, Tensor
+from .typecheck import check_field_types
 
 CHECKPOINT_MAGIC = b"AVCKPT\x00"
 CHECKPOINT_VERSION = 2

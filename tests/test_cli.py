@@ -3,7 +3,7 @@ import pytest
 
 from voiceanalogy import cli, container
 from voiceanalogy.cli import (ConfigError, main, parse_config, write_pgm)
-from voiceanalogy.corpus import Utterance, wav_write
+from voiceanalogy.corpus import CORPUS_MAGIC, CORPUS_VERSION, Utterance, wav_write
 from voiceanalogy.training import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
 
 
@@ -224,6 +224,27 @@ class TestCommands:
                      str(ckpt), str(corpus_path)])
         assert code == 2
         assert f"malformed metadata: {key} must be" in one_line_error(capsys)
+
+    @pytest.mark.parametrize("key, value", [("n_bins", 16.0), ("hop", 256.0),
+                                            ("sample_rate", 8000.0)])
+    def test_corpus_with_wrongly_typed_cqt_value_exits_2(self, tiny_cfg, tmp_path, capsys,
+                                                          key, value):
+        out = tmp_path / "run"
+        corpus_path, ckpt = gen_and_train(tiny_cfg, out)
+        meta, arrays = container.unpack(corpus_path.read_bytes(), CORPUS_MAGIC,
+                                        CORPUS_VERSION, ValueError, "corpus")
+        meta["cqt"][key] = value
+        corpus_path.write_bytes(container.pack(CORPUS_MAGIC, CORPUS_VERSION, meta, arrays))
+        wavs = [str(out / "samples" / f"speaker{s}_{w}.wav")
+                for s, w in ((0, "red"), (1, "red"), (0, "blue"))]
+        for command in (["eval", str(ckpt), str(corpus_path)],
+                        ["convert", str(ckpt), str(corpus_path), *wavs, str(out / "d.wav")],
+                        ["train", str(corpus_path)]):
+            capsys.readouterr()
+            assert main(["--config", str(tiny_cfg), "--out", str(out), *command]) == 2
+            assert (f"corpus: malformed metadata: {key} must be an integer, got {value!r}"
+                    in one_line_error(capsys))
+        assert not (out / "d.wav").exists()
 
     def test_eval_twice_writes_identical_report(self, tiny_cfg, tmp_path):
         out = tmp_path / "run"

@@ -1,16 +1,27 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from voiceanalogy import cli, cqt
 from voiceanalogy.corpus import make_speakers, make_words, synth_utterance
 from voiceanalogy.cqt import (CqtConfig, CqtConfigError, SignalLengthError,
-                              Spectrogram, _adjoint_cqt, _lsq_synthesize, compress,
-                              decompress, design_filterbank, estimate_f0, forward_cqt,
-                              frequency_to_bin, inverse_cqt, n_frames)
+                              Spectrogram, _adjoint_cqt, _adjoint_frames, _lsq_synthesize,
+                              compress, decompress, design_filterbank, estimate_f0,
+                              forward_cqt, frequency_to_bin, inverse_cqt, n_frames)
 
-# default, and one whose max_window is odd (1241) with more bins per octave,
-# a hop that is no power of two and shorter kernels
-OPERATOR_CONFIGS = [CqtConfig(), CqtConfig(bins_per_octave=24, hop=50, q_scale=0.5)]
+# default; one whose max_window is odd (1241) with more bins per octave, a
+# hop that is no power of two and shorter kernels; one whose last octave
+# holds 4 of 12 bins; four octaves of 24 bins (max_window 2482, so that the
+# 4000-sample signals below still hold the longest kernel); and the
+# 4-bins-per-octave config of the CLI tests
+OPERATOR_CONFIGS = [CqtConfig(), CqtConfig(bins_per_octave=24, hop=50, q_scale=0.5),
+                    CqtConfig(n_bins=40),
+                    CqtConfig(bins_per_octave=24, n_bins=96),
+                    CqtConfig(bins_per_octave=4, n_bins=16, hop=256)]
+OPERATOR_IDS = ["default", "b24_hop50_q05", "partial_octave", "b24_4_octaves",
+                "b4_hop256"]
 
 
 @pytest.fixture(scope="module")
@@ -73,11 +84,38 @@ def bincount_adjoint(grid, filterbank, signal_length):
     of padded-signal samples. bincount sums each sample's terms in frame
     order from +0.0, so the slice adds must give the same bytes."""
     width = filterbank.max_window
-    frames = np.concatenate([grid.real, -grid.imag]).T @ filterbank.basis
+    frames = _adjoint_frames(grid, filterbank)
     index = np.arange(grid.shape[1])[:, None] * filterbank.config.hop + np.arange(width)
     padded = np.bincount(index.ravel(), frames.ravel(), minlength=signal_length + width)
     mid = (width - 1) // 2
     return padded[mid:mid + signal_length]
+
+
+def dense_basis(filterbank):
+    """[Re kernels; Im kernels], 2K x max_window: the whole operator as one
+    dense real matrix, zeros included."""
+    return np.concatenate([filterbank.kernels.real, filterbank.kernels.imag])
+
+
+def dense_frames(signal, filterbank):
+    """T x max_window frame gather: row t is centred on sample t*hop."""
+    width = filterbank.max_window
+    mid = (width - 1) // 2
+    padded = np.zeros(signal.size + width)
+    padded[mid:mid + signal.size] = signal
+    return sliding_window_view(padded, width)[::filterbank.config.hop]
+
+
+def dense_forward(signal, filterbank):
+    """forward_cqt as one matmul of the dense matrix against every frame."""
+    prods = dense_basis(filterbank) @ dense_frames(signal, filterbank).T
+    k = filterbank.config.n_bins
+    return prods[:k] - 1j * prods[k:]
+
+
+def dense_adjoint_frames(grid, filterbank):
+    """_adjoint_frames as one transposed matmul of the dense matrix."""
+    return np.concatenate([grid.real, -grid.imag]).T @ dense_basis(filterbank)
 
 
 def normal_equation_cg(grid, filterbank, x0, cg_iterations):
@@ -157,6 +195,14 @@ class TestFilterbank:
         with pytest.raises(CqtConfigError):
             CqtConfig(sample_rate=8000, f_min=1000.0, n_bins=48)
 
+    def test_wrongly_typed_values_rejected_by_name(self):
+        for f in fields(CqtConfig):
+            default = getattr(CqtConfig(), f.name)
+            bad = [True, float(default), default + 0.5] if f.type is int else [True, "1"]
+            for value in bad:
+                with pytest.raises(CqtConfigError, match=rf"^{f.name} must be"):
+                    CqtConfig(**{f.name: value})
+
 
 class TestForward:
     def test_pure_tone_argmax_every_bin(self, filterbank, config):
@@ -188,7 +234,7 @@ class TestForward:
         assert grid.shape == (config.n_bins, 4000 // config.hop + 1)
 
 
-@pytest.mark.parametrize("cfg", OPERATOR_CONFIGS, ids=["default", "b24_hop50_q05"])
+@pytest.mark.parametrize("cfg", OPERATOR_CONFIGS, ids=OPERATOR_IDS)
 class TestOperator:
     @pytest.mark.parametrize("n", [4000, 4001])
     def test_forward_matches_per_bin_loop(self, cfg, n):
@@ -215,6 +261,21 @@ class TestOperator:
         y = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         y[:, 1] = 0.0  # a silent frame adds signed zeros
         assert _adjoint_cqt(y, fb, n).tobytes() == bincount_adjoint(y, fb, n).tobytes()
+
+    @pytest.mark.parametrize("n", [4000, 4001])
+    def test_products_match_dense_matrix(self, cfg, n):
+        """The octave row products of the forward and the shell frame
+        products of the adjoint are those of the dense kernel matrix."""
+        fb = design_filterbank(cfg)
+        rng = np.random.default_rng(n + 2)
+        x = rng.normal(size=n)
+        got, want = forward_cqt(x, fb), dense_forward(x, fb)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        shape = (cfg.n_bins, n_frames(n, cfg.hop))
+        y = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        got, want = _adjoint_frames(y, fb), dense_adjoint_frames(y, fb)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_adjoint_identity(self, cfg):
         fb = design_filterbank(cfg)
@@ -343,6 +404,20 @@ class TestFastGriffinLim:
         monkeypatch.setattr(cqt, "FGLA_ALPHA", 0.0)
         plain = final_errors()
         assert all(f < p for f, p in zip(fast, plain)), (fast, plain)
+
+    @pytest.mark.parametrize("iterations", [10, 50])
+    def test_same_final_errors_as_dense_operator(self, filterbank, config, monkeypatch,
+                                                 iterations):
+        def final_errors():
+            return [inverse_cqt(spec, filterbank, iterations=iterations, signal_length=n,
+                                return_errors=True)[1][-1] for spec, n in specs]
+        specs = list(criterion_4_spectrograms(config, filterbank))
+        sparse = final_errors()
+        # the adjoint keeps its overlap-add and takes the dense frame products
+        monkeypatch.setattr(cqt, "forward_cqt", dense_forward)
+        monkeypatch.setattr(cqt, "_adjoint_frames", dense_adjoint_frames)
+        dense = final_errors()
+        assert sparse == pytest.approx(dense, rel=1e-9, abs=0)
 
 
 class TestEstimateF0:
