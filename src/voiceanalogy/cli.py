@@ -133,9 +133,11 @@ def write_pgm(values, path, flip_vertical=True):
 # ---- commands ----
 
 def cmd_gen_data(cfg, out_dir):
+    cqt_cfg = cqt_config_from(cfg)
+    _check_kernel_fits_clip(cqt_cfg)
     echo_config(cfg, out_dir)
     corpus = C.build_corpus(cfg["n_speakers"], cfg["n_words"], cfg["variants_per_cell"],
-                            cfg["corpus_seed"], cqt_config_from(cfg))
+                            cfg["corpus_seed"], cqt_cfg)
     corpus_path = os.path.join(out_dir, "corpus.bin")
     C.save_corpus(corpus, corpus_path)
     wav_dir = os.path.join(out_dir, "samples")
@@ -175,9 +177,22 @@ def cmd_train(cfg, out_dir, corpus_path):
     return EXIT_OK
 
 
+def _clip_samples(cqt_cfg):
+    return int(round(C.UTTERANCE_SECONDS * cqt_cfg.sample_rate))
+
+
+def _check_kernel_fits_clip(cqt_cfg):
+    """Refuse a CQT config whose widest kernel is longer than a clip before
+    any filterbank is designed: the design alone can take gigabytes."""
+    if cqt_cfg.max_window > _clip_samples(cqt_cfg):
+        raise Q.SignalLengthError(
+            f"longest kernel ({cqt_cfg.max_window} samples) is longer than a clip "
+            f"({_clip_samples(cqt_cfg)} samples)")
+
+
 def _load_clip(path, cqt_cfg):
     utt = C.wav_read(path)
-    expected = int(round(C.UTTERANCE_SECONDS * cqt_cfg.sample_rate))
+    expected = _clip_samples(cqt_cfg)
     if utt.sample_rate != cqt_cfg.sample_rate:
         raise ConfigError(f"{path}: sample rate {utt.sample_rate}, "
                           f"expected {cqt_cfg.sample_rate}")
@@ -196,9 +211,10 @@ def cmd_convert(cfg, out_dir, checkpoint_path, corpus_path, a_path, b_path, c_pa
             print(f"error: missing input: {p}", file=sys.stderr)
             return EXIT_USAGE
     echo_config(cfg, out_dir)
-    corpus = C.load_corpus(corpus_path)
-    trainer = TR.load_checkpoint(checkpoint_path, corpus)
-    cqt_cfg = corpus.cqt_config
+    header = C.load_corpus_header(corpus_path)
+    cqt_cfg = header.cqt_config
+    _check_kernel_fits_clip(cqt_cfg)
+    trainer = TR.read_checkpoint(checkpoint_path, header, ("gen/",))
     fb = Q.design_filterbank(cqt_cfg)
     specs = []
     clips = []
@@ -232,7 +248,7 @@ def cmd_eval(cfg, out_dir, checkpoint_path, corpus_path):
             return EXIT_USAGE
     echo_config(cfg, out_dir)
     corpus = C.load_corpus(corpus_path)
-    trainer = TR.load_checkpoint(checkpoint_path, corpus)
+    trainer = TR.read_checkpoint(checkpoint_path, corpus, ("gen/", "disc/"))
     report = TR.evaluate(trainer, corpus)
     lines = report.lines()
     for line in lines:
@@ -247,6 +263,7 @@ def cmd_render(cfg, out_dir, source_path, image_path):
         print(f"error: missing input: {source_path}", file=sys.stderr)
         return EXIT_USAGE
     cqt_cfg = cqt_config_from(cfg)
+    _check_kernel_fits_clip(cqt_cfg)
     fb = Q.design_filterbank(cqt_cfg)
     utt = _load_clip(source_path, cqt_cfg)
     spec = Q.compress(Q.forward_cqt(utt.samples, fb), cqt_cfg)

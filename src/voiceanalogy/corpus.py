@@ -5,6 +5,7 @@ are formant patterns plus amplitude envelopes. Everything is a pure
 function of the corpus seed, so training targets are measurable.
 """
 
+import io
 import struct
 from dataclasses import asdict, dataclass
 
@@ -184,14 +185,15 @@ def synth_utterance(speaker, word, seed, sample_rate=8000):
 
 
 @dataclass
-class Corpus:
+class CorpusHeader:
+    """What a corpus file's header says: enough to check a checkpoint
+    against the corpus and to analyse new clips, without its arrays."""
+
     cqt_config: CqtConfig
     seed: int
     variants_per_cell: int
     speakers: list
     words: list
-    utterances: list       # all cells, variant-major within a cell
-    spectrograms: list     # parallel to utterances
 
     @property
     def n_speakers(self):
@@ -201,17 +203,23 @@ class Corpus:
     def n_words(self):
         return len(self.words)
 
+    @property
+    def holdout_start(self):
+        """Variant indices at/above this are reserved for evaluation."""
+        return self.variants_per_cell - max(1, self.variants_per_cell // 5)
+
+
+@dataclass
+class Corpus(CorpusHeader):
+    utterances: list       # all cells, variant-major within a cell
+    spectrograms: list     # parallel to utterances
+
     def index(self, speaker_id, word_id, variant):
         per_cell = self.variants_per_cell
         return ((speaker_id * self.n_words) + word_id) * per_cell + variant
 
     def spectrogram(self, speaker_id, word_id, variant):
         return self.spectrograms[self.index(speaker_id, word_id, variant)]
-
-    @property
-    def holdout_start(self):
-        """Variant indices at/above this are reserved for evaluation."""
-        return self.variants_per_cell - max(1, self.variants_per_cell // 5)
 
 
 def build_corpus(n_speakers, n_words, variants_per_cell, seed, cqt_config=None):
@@ -345,27 +353,40 @@ def corpus_to_bytes(corpus):
         "spectrograms": [s.values for s in corpus.spectrograms]})
 
 
-def corpus_from_bytes(blob):
-    meta, arrays = container.unpack(blob, CORPUS_MAGIC, CORPUS_VERSION, CorpusConfigError,
-                                    "corpus")
+def _read(f, prefixes):
+    """(header, arrays) of the corpus container in the binary file `f`: the
+    metadata, checked against every array entry, and the arrays whose names
+    start with one of `prefixes`."""
+    meta, entries, arrays = container.read(f, CORPUS_MAGIC, CORPUS_VERSION,
+                                           CorpusConfigError, "corpus", prefixes)
     try:
         cfg = CqtConfig(**meta["cqt"])
         speakers = [SpeakerProfile(**s) for s in meta["speakers"]]
         words = [WordProfile(w["id"], w["name"], tuple(map(tuple, w["formants"])),
                              tuple(map(tuple, w["envelope"]))) for w in meta["words"]]
         variants = meta["variants_per_cell"]
-        ids, samples, specs = arrays["ids"], arrays["samples"], arrays["spectrograms"]
+        (ids, ids_shape), (samples, samples_shape), (specs, specs_shape) = (
+            entries[name] for name in ("ids", "samples", "spectrograms"))
         n = len(speakers) * len(words) * variants
-        if (variants < 2 or ids.shape != (n, 3) or samples.ndim != 2 or len(samples) != n
-                or specs.shape[:2] != (n, cfg.n_bins) or specs.ndim != 3
-                or [a.dtype.kind for a in (ids, samples, specs)] != ["i", "f", "f"]):
+        if (variants < 2 or ids_shape != (n, 3) or len(samples_shape) != 2
+                or samples_shape[0] != n or specs_shape[:2] != (n, cfg.n_bins)
+                or len(specs_shape) != 3 or [ids, samples, specs] != ["<i8", "<f8", "<f8"]):
             raise ValueError("array shapes do not match the metadata")
-        utterances = [Utterance(s, w, x, cfg.sample_rate, v)
-                      for (s, w, v), x in zip(ids.tolist(), samples)]
-        return Corpus(cfg, meta["seed"], variants, speakers, words, utterances,
-                      [Spectrogram(v, cfg) for v in specs])
+        return CorpusHeader(cfg, meta["seed"], variants, speakers, words), arrays
     except container.MALFORMED as exc:
         raise CorpusConfigError(f"corpus: malformed metadata: {exc}") from None
+
+
+def _corpus(header, arrays):
+    cfg = header.cqt_config
+    utterances = [Utterance(s, w, x, cfg.sample_rate, v)
+                  for (s, w, v), x in zip(arrays["ids"].tolist(), arrays["samples"])]
+    return Corpus(**vars(header), utterances=utterances,
+                  spectrograms=[Spectrogram(v, cfg) for v in arrays["spectrograms"]])
+
+
+def corpus_from_bytes(blob):
+    return _corpus(*_read(io.BytesIO(blob), ("",)))
 
 
 def save_corpus(corpus, path):
@@ -374,4 +395,10 @@ def save_corpus(corpus, path):
 
 def load_corpus(path):
     with open(path, "rb") as f:
-        return corpus_from_bytes(f.read())
+        return _corpus(*_read(f, ("",)))
+
+
+def load_corpus_header(path):
+    """The checked header of the corpus at `path`, reading none of its arrays."""
+    with open(path, "rb") as f:
+        return _read(f, ())[0]

@@ -44,8 +44,12 @@ class CqtConfig:
 
     def __post_init__(self):
         check_field_types(self, CqtConfigError)
-        if self.f_min <= 0 or self.hop <= 0 or self.bins_per_octave <= 0 or self.n_bins <= 0:
-            raise CqtConfigError("f_min, hop, bins_per_octave and n_bins must be positive")
+        for name in ("f_min", "q_scale"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise CqtConfigError(f"{name} must be finite and positive, got {value!r}")
+        if self.hop <= 0 or self.bins_per_octave <= 0 or self.n_bins <= 0:
+            raise CqtConfigError("hop, bins_per_octave and n_bins must be positive")
         top = self.center_frequency(self.n_bins - 1)
         if top >= self.sample_rate / 2:
             raise CqtConfigError(
@@ -58,20 +62,33 @@ class CqtConfig:
     def q_factor(self):
         return 1.0 / (2.0 ** (1.0 / self.bins_per_octave) - 1.0)
 
+    def window_length(self, k):
+        """Samples in bin k's kernel: q_scale * Q periods of its frequency."""
+        return int(math.ceil(self.q_scale * self.q_factor * self.sample_rate
+                             / self.center_frequency(k)))
+
+    @property
+    def max_window(self):
+        """The widest kernel's length, bin 0's, known without designing
+        the filterbank."""
+        return self.window_length(0)
+
 
 @dataclass
 class Filterbank:
     """All bin kernels as one matrix: row k is kernel k zero-padded to
     max_window columns, with every kernel's centre sample (length-1)//2 at
     column (max_window-1)//2. The transform is one linear operator, applied
-    through two sets of real [Re rows; Im rows] blocks of that matrix:
+    through two sets of real blocks of that matrix, each contiguous:
 
     - octaves: the bins lo:hi of each octave, over the columns its first
-      (widest) kernel covers, which hold every kernel of the octave;
+      (widest) kernel covers, which hold every kernel of the octave; stored
+      as columns x [Re bins | Im bins] for the forward's frames-first product;
     - shells: the octaves' column supports are nested, so the columns that
       octaves 0..j cover and octave j+1 does not (a left and a right piece;
       one piece for the innermost octave) meet only the bins 0:hi of
-      octaves 0..j. Each piece holds those bins over its columns.
+      octaves 0..j. Each piece holds those bins over its columns, stored as
+      [Re rows; Im rows] x columns for the adjoint.
     """
 
     config: CqtConfig
@@ -94,7 +111,8 @@ class Filterbank:
             hi = min(lo + self.config.bins_per_octave, k)
             length = int(self.window_lengths[lo])
             cols = slice(mid - (length - 1) // 2, mid - (length - 1) // 2 + length)
-            self.octaves.append((lo, hi, cols, real_block(slice(lo, hi), cols)))
+            self.octaves.append((lo, hi, cols,
+                                 np.ascontiguousarray(real_block(slice(lo, hi), cols).T)))
         self.shells = []
         for j, (_, hi, outer, _) in enumerate(self.octaves):
             if j + 1 < len(self.octaves):
@@ -131,11 +149,9 @@ class Spectrogram:
 
 
 def design_filterbank(config):
-    q = config.q_factor
     freqs = np.array([config.center_frequency(k) for k in range(config.n_bins)])
-    lengths = np.array([int(math.ceil(config.q_scale * q * config.sample_rate / f))
-                        for f in freqs])
-    width = int(lengths.max())
+    lengths = np.array([config.window_length(k) for k in range(config.n_bins)])
+    width = config.max_window
     kernels = np.zeros((config.n_bins, width), dtype=np.complex128)
     for k, (f, length) in enumerate(zip(freqs, lengths)):
         n = np.arange(length) - (length - 1) / 2.0
@@ -155,7 +171,8 @@ def forward_cqt(signal, filterbank):
     against the window centred at t*hop (zero-padded at the edges).
 
     One contiguous T x max_window frame gather, then one real matmul per
-    octave over the columns its kernels cover."""
+    octave of those frames' columns its kernels cover by the octave's
+    columns x [Re | Im] block."""
     signal = np.asarray(signal, dtype=np.float64)
     width = filterbank.max_window
     if signal.size < width:
@@ -169,9 +186,9 @@ def forward_cqt(signal, filterbank):
     frames = np.ascontiguousarray(sliding_window_view(padded, width)[::filterbank.config.hop])
     grid = np.empty((filterbank.config.n_bins, frames.shape[0]), dtype=np.complex128)
     for lo, hi, cols, block in filterbank.octaves:
-        prods = block @ frames[:, cols].T  # real, then imaginary parts
-        grid.real[lo:hi] = prods[:hi - lo]
-        np.negative(prods[hi - lo:], out=grid.imag[lo:hi])
+        prods = frames[:, cols] @ block  # real, then imaginary parts, per frame
+        grid.real[lo:hi] = prods[:, :hi - lo].T
+        np.negative(prods[:, hi - lo:].T, out=grid.imag[lo:hi])
     return grid
 
 

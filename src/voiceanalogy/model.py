@@ -92,19 +92,14 @@ class ParamSet:
 
     @classmethod
     def from_arrays(cls, config, arrays):
-        """The parameters `layout` names, copied from the name -> array
-        mapping `arrays` with no random draw; raises KeyError for a missing
-        name and ValueError for a wrong dtype or shape. The copies are
-        writeable for Adam and aligned for BLAS, which views of a checkpoint
-        file need not be."""
-        params = {}
-        for name, (shape, _) in cls.layout(config).items():
-            arr = arrays[name]
-            if (arr.dtype, arr.shape) != (np.float64, shape):
-                raise ValueError(f"{name} is {arr.dtype} {arr.shape}, "
-                                 f"the model needs float64 {shape}")
-            params[name] = Tensor(arr.copy(), requires_grad=True)
-        return cls._of(params, config)
+        """The parameters `layout` names, taken from the name -> array
+        mapping `arrays` with no random draw and no copy; raises KeyError for
+        a missing name. Training updates the arrays in place, so they must be
+        writeable, of the layout's shape and held by nothing else, as the
+        checkpoint reader's fresh arrays are once it has checked the file's
+        entries."""
+        return cls._of({name: Tensor(arrays[name], requires_grad=True)
+                        for name in cls.layout(config)}, config)
 
     @classmethod
     def _of(cls, params, config):

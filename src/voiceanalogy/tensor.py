@@ -444,9 +444,6 @@ class Adam:
             if name not in self._m:
                 self._m[name] = np.zeros(p.data.shape)
                 self._v[name] = np.zeros(p.data.shape)
-            for state in (self._m, self._v):
-                if not state[name].flags.writeable:  # loaded: copied on its first update
-                    state[name] = state[name].copy()
             m = self._m[name].reshape(-1)
             v = self._v[name].reshape(-1)
             g = p.grad.reshape(-1)
@@ -479,9 +476,9 @@ class Adam:
         return out
 
     def load_state_tensors(self, tensors):
-        """Take the moments in `tensors` as they are, without a copy: step
-        copies a read-only one the first time it updates it, so inference
-        from a checkpoint never copies optimizer state."""
+        """Take the moments in `tensors` as they are, without a copy. `step`
+        updates them in place, so they must be writeable arrays that nothing
+        else holds, such as the fresh arrays a checkpoint read returns."""
         self.step_count = int(tensors["step_count"][0])
         self._m = {}
         self._v = {}

@@ -261,12 +261,23 @@ def save_checkpoint(trainer, path):
 
 def load_checkpoint(path, corpus):
     """The trainer saved at `path`, built from the file's arrays with no
-    random draw. The parameters are copies, since training updates them in
-    place; the Adam moments stay read-only views of the file, which Adam
-    copies on their first update."""
+    random draw. The arrays are read into one fresh writeable buffer, and the
+    parameters and the Adam moments take them without a copy."""
+    return read_checkpoint(path, corpus, ("gen/", "disc/", "gen_opt/", "disc_opt/"))
+
+
+def read_checkpoint(path, corpus, prefixes):
+    """The trainer saved at `path`, reading only the arrays whose names
+    start with one of `prefixes` ("gen/", "disc/", "gen_opt/", "disc_opt/").
+
+    Every entry is checked against the model whether it is read or not. A
+    network left unread is None and an optimizer whose state is left unread
+    starts empty, so such a trainer serves inference only: `convert` reads
+    "gen/", `eval` "gen/" and "disc/"."""
     with open(path, "rb") as f:
-        meta, tensors = container.unpack(f.read(), CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-                                         CheckpointError, f"checkpoint {path}")
+        meta, entries, tensors = container.read(f, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                                                CheckpointError, f"checkpoint {path}",
+                                                prefixes)
     try:
         train_cfg = TrainConfig(**meta["train"])
         model_cfg = ModelConfig(**{**meta["model"], "channels": tuple(meta["model"]["channels"])})
@@ -279,22 +290,31 @@ def load_checkpoint(path, corpus):
         step = meta["step"]
         if type(step) is not int or step < 0:
             raise ValueError(f"step must be a non-negative integer, got {step!r}")
+        nets = {"gen": GeneratorParams, "disc": DiscriminatorParams}
+        for prefix, params in nets.items():
+            _, count = entries.get(f"{prefix}_opt/step_count", (None, ()))
+            if not count or count[0] < 1:
+                raise ValueError(f"{prefix}_opt/step_count is missing or empty")
+            for name, (shape, _) in params.layout(model_cfg).items():
+                if f"{prefix}/{name}" not in entries:
+                    raise ValueError(f"{prefix}/{name} is missing")
+                # a missing moment is allowed: Adam starts it at zero
+                for key in (f"{prefix}/{name}", f"{prefix}_opt/m/{name}",
+                            f"{prefix}_opt/v/{name}"):
+                    dtype, got = entries.get(key, ("<f8", shape))
+                    if (dtype, got) != ("<f8", shape):
+                        raise ValueError(f"{key} is {np.dtype(dtype)} {got}, "
+                                         f"the model needs float64 {shape}")
+        gen, disc = (params.from_arrays(model_cfg, _under(f"{prefix}/", tensors))
+                     if f"{prefix}/" in prefixes else None
+                     for prefix, params in nets.items())
         trainer = object.__new__(Trainer)
-        trainer._assemble(corpus, train_cfg, model_cfg,
-                          GeneratorParams.from_arrays(model_cfg, _under("gen/", tensors)),
-                          DiscriminatorParams.from_arrays(model_cfg, _under("disc/", tensors)))
+        trainer._assemble(corpus, train_cfg, model_cfg, gen, disc)
         trainer.step = step
         trainer.rng.bit_generator.state = meta["rng"]
-        for prefix, params, opt in (("gen", trainer.gen_params, trainer.gen_opt),
-                                    ("disc", trainer.disc_params, trainer.disc_opt)):
-            state = _under(f"{prefix}_opt/", tensors)
-            for name, p in params.items():
-                for key in (f"m/{name}", f"v/{name}"):
-                    a = state.get(key, p.data)
-                    if (a.dtype, a.shape) != (p.data.dtype, p.data.shape):
-                        raise ValueError(f"{prefix}_opt/{key} is {a.dtype} {a.shape}, "
-                                         f"the model needs {p.data.dtype} {p.data.shape}")
-            opt.load_state_tensors(state)
+        for prefix, opt in (("gen", trainer.gen_opt), ("disc", trainer.disc_opt)):
+            if f"{prefix}_opt/" in prefixes:
+                opt.load_state_tensors(_under(f"{prefix}_opt/", tensors))
     except container.MALFORMED as exc:
         raise CheckpointError(f"checkpoint {path}: malformed metadata: {exc}") from None
     return trainer

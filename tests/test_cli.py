@@ -1,7 +1,9 @@
+import io
+
 import numpy as np
 import pytest
 
-from voiceanalogy import cli, container
+from voiceanalogy import cli, container, corpus as C, cqt as Q
 from voiceanalogy.cli import (ConfigError, main, parse_config, write_pgm)
 from voiceanalogy.corpus import CORPUS_MAGIC, CORPUS_VERSION, Utterance, wav_write
 from voiceanalogy.training import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
@@ -31,6 +33,18 @@ def gen_and_train(config, out):
     assert main(["--config", str(config), "--out", str(out), "train",
                  str(out / "corpus.bin")]) == 0
     return out / "corpus.bin", out / "final_checkpoint.bin"
+
+
+def triple_wavs(out):
+    return [str(out / "samples" / f"speaker{s}_{w}.wav")
+            for s, w in ((0, "red"), (1, "red"), (0, "blue"))]
+
+
+def no_filterbank_design(monkeypatch):
+    def refuse(config):
+        raise AssertionError("a filterbank was designed")
+    monkeypatch.setattr(Q, "design_filterbank", refuse)
+    monkeypatch.setattr(C, "design_filterbank", refuse)
 
 
 def one_line_error(capsys):
@@ -124,13 +138,44 @@ class TestCommands:
         assert code == 2
         assert "bad.cfg:2: steps expects int, got 'abc'" in capsys.readouterr().err
 
-    def test_gen_data_kernel_longer_than_clip_exits_2(self, tmp_path, capsys):
+    def test_gen_data_kernel_longer_than_clip_exits_2(self, tmp_path, capsys, monkeypatch):
+        # at q_scale 1e4 the design alone would allocate 9.4 GB
+        no_filterbank_design(monkeypatch)
+        for q_scale in (4.0, 1e4):
+            bad = tmp_path / "bad.cfg"
+            bad.write_text(f"version=1\nq_scale = {q_scale}\n")
+            code = main(["--config", str(bad), "--out", str(tmp_path / "o"), "gen-data"])
+            assert code == 2
+            assert "longest kernel" in one_line_error(capsys)
+            assert not (tmp_path / "o").exists()
+
+    def test_render_kernel_longer_than_clip_exits_2(self, tmp_path, capsys, monkeypatch):
+        no_filterbank_design(monkeypatch)
+        wav = tmp_path / "clip.wav"
+        wav_write(Utterance(0, 0, np.zeros(4000), 8000, 0), wav)
         bad = tmp_path / "bad.cfg"
-        bad.write_text("version=1\nq_scale = 4.0\n")
-        code = main(["--config", str(bad), "--out", str(tmp_path / "o"), "gen-data"])
+        bad.write_text("version=1\nq_scale = 1e4\n")
+        code = main(["--config", str(bad), "--out", str(tmp_path / "o"), "render", str(wav),
+                     str(tmp_path / "x.pgm")])
         assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "longest kernel" in err
+        assert "longest kernel" in one_line_error(capsys)
+        assert not (tmp_path / "x.pgm").exists()
+
+    def test_convert_corpus_kernel_longer_than_clip_exits_2(self, tiny_cfg, tmp_path, capsys,
+                                                           monkeypatch):
+        out = tmp_path / "run"
+        corpus_path, ckpt = gen_and_train(tiny_cfg, out)
+        meta, arrays = container.unpack(corpus_path.read_bytes(), CORPUS_MAGIC,
+                                        CORPUS_VERSION, ValueError, "corpus")
+        meta["cqt"]["q_scale"] = 1e4
+        corpus_path.write_bytes(container.pack(CORPUS_MAGIC, CORPUS_VERSION, meta, arrays))
+        no_filterbank_design(monkeypatch)
+        capsys.readouterr()
+        code = main(["--config", str(tiny_cfg), "--out", str(out), "convert", str(ckpt),
+                     str(corpus_path), *triple_wavs(out), str(out / "d.wav")])
+        assert code == 2
+        assert "longest kernel" in one_line_error(capsys)
+        assert not (out / "d.wav").exists()
 
     def test_gen_data_one_variant_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -147,7 +192,9 @@ class TestCommands:
         ("train", "learning_rate = -1"), ("train", "beta1 = 1.0"), ("train", "beta2 = -0.1"),
         ("train", "epsilon = 0"), ("train", "lambda_adv = -1"),
         ("convert", "griffin_lim_iters = 0"), ("gen-data", "corpus_seed = -1"),
-        ("train", "train_seed = -1"), ("convert", "phase_seed = -1")])
+        ("train", "train_seed = -1"), ("convert", "phase_seed = -1"),
+        ("gen-data", "q_scale = 0"), ("gen-data", "q_scale = -1"), ("gen-data", "q_scale = inf"),
+        ("gen-data", "q_scale = nan"), ("gen-data", "f_min = nan"), ("gen-data", "f_min = inf")])
     def test_bad_config_value_exits_2_before_any_work(self, tmp_path, capsys, command,
                                                       setting):
         bad = tmp_path / "bad.cfg"
@@ -197,6 +244,68 @@ class TestCommands:
                      str(ckpt), str(corpus_path)])
         assert code == 2
         assert "final_checkpoint.bin" in one_line_error(capsys)
+
+    def test_checkpoint_cut_in_optimizer_state_exits_2(self, tiny_cfg, tmp_path, capsys):
+        # convert and eval read no optimizer state, so only the size check sees the cut
+        out = tmp_path / "run"
+        corpus_path, ckpt = gen_and_train(tiny_cfg, out)
+        blob = ckpt.read_bytes()
+        _, entries, _ = container.read(io.BytesIO(blob), CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                                       ValueError, "checkpoint", ())
+        assert max(entries).startswith("gen_opt/")  # the last array in the file
+        ckpt.write_bytes(blob[:-8])
+        for command in (["convert", str(ckpt), str(corpus_path), *triple_wavs(out),
+                         str(out / "d.wav")],
+                        ["eval", str(ckpt), str(corpus_path)]):
+            capsys.readouterr()
+            assert main(["--config", str(tiny_cfg), "--out", str(out), *command]) == 2
+            assert "final_checkpoint.bin: header lists" in one_line_error(capsys)
+        assert not (out / "d.wav").exists()
+
+    def test_convert_and_eval_read_no_optimizer_state(self, tiny_cfg, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        corpus_path, ckpt = gen_and_train(tiny_cfg, out)
+        blob = ckpt.read_bytes()
+        header_end = len(CHECKPOINT_MAGIC) + 5 + int.from_bytes(
+            blob[len(CHECKPOINT_MAGIC) + 1:len(CHECKPOINT_MAGIC) + 5], "little")
+        _, arrays = container.unpack(blob, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, ValueError,
+                                     "checkpoint")
+        reads = []
+        read = container.read
+
+        class Counting:
+            """The reader's file, counting the bytes read from it."""
+
+            def __init__(self, f):
+                self.f, self.bytes = f, 0
+
+            def __getattr__(self, name):
+                return getattr(self.f, name)
+
+            def read(self, size):
+                data = self.f.read(size)
+                self.bytes += len(data)
+                return data
+
+            def readinto(self, buffer):
+                n = self.f.readinto(buffer)
+                self.bytes += n
+                return n
+
+        def spy(f, magic, *args):
+            counted = Counting(f)
+            meta, entries, arrays = read(counted, magic, *args)
+            if magic == CHECKPOINT_MAGIC:
+                reads.append((sorted(arrays), counted.bytes))
+            return meta, entries, arrays
+        monkeypatch.setattr(container, "read", spy)
+        assert main(["--config", str(tiny_cfg), "--out", str(out), "convert", str(ckpt),
+                     str(corpus_path), *triple_wavs(out), str(out / "d.wav")]) == 0
+        assert main(["--config", str(tiny_cfg), "--out", str(out), "eval", str(ckpt),
+                     str(corpus_path)]) == 0
+        for (names, n_bytes), wanted in zip(reads, [("gen/",), ("gen/", "disc/")], strict=True):
+            assert names == sorted(name for name in arrays if name.startswith(wanted))
+            assert n_bytes == header_end + sum(arrays[name].nbytes for name in names)
 
     def test_eval_checkpoint_with_bad_leaky_alpha_exits_2(self, tiny_cfg, tmp_path, capsys):
         corpus_path, ckpt = gen_and_train(tiny_cfg, tmp_path / "run")

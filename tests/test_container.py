@@ -15,13 +15,16 @@ from hypothesis import given, settings, strategies as st
 from voiceanalogy import container
 from voiceanalogy.corpus import (CORPUS_MAGIC, CorpusConfigError, build_corpus,
                                  corpus_from_bytes, corpus_to_bytes, load_corpus,
-                                 save_corpus)
+                                 load_corpus_header, save_corpus)
 from voiceanalogy.cqt import CqtConfig
 from voiceanalogy.model import ModelConfig
 from voiceanalogy.training import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CheckpointError,
-                                   Trainer, TrainConfig, load_checkpoint, save_checkpoint)
+                                   Trainer, TrainConfig, load_checkpoint, read_checkpoint,
+                                   save_checkpoint)
 
 FUZZ = settings(max_examples=150, deadline=None, database=None)
+# the arrays `convert` and `eval` read from a checkpoint
+INFERENCE_PREFIXES = {"convert": ("gen/",), "eval": ("gen/", "disc/")}
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +82,58 @@ def test_damaged_checkpoint_loads_or_raises_typed_error(corpus, checkpoint, data
         pass
 
 
+@FUZZ
+@given(data=st.data())
+def test_damaged_corpus_header_loads_or_raises_typed_error(corpus_blob, tmp_path_factory,
+                                                           data):
+    path = tmp_path_factory.getbasetemp() / "damaged_corpus.bin"
+    path.write_bytes(damage(corpus_blob, CORPUS_MAGIC, data))
+    try:
+        load_corpus_header(path)
+    except CorpusConfigError:
+        pass
+
+
+@pytest.mark.parametrize("command", INFERENCE_PREFIXES)
+@FUZZ
+@given(data=st.data())
+def test_damaged_checkpoint_inference_read_loads_or_raises_typed_error(corpus, checkpoint,
+                                                                       command, data):
+    directory, blob = checkpoint
+    path = directory / f"damaged_{command}.bin"
+    path.write_bytes(damage(blob, CHECKPOINT_MAGIC, data))
+    try:
+        read_checkpoint(path, corpus, INFERENCE_PREFIXES[command])
+    except CheckpointError:
+        pass
+
+
+def test_read_gives_fresh_arrays_of_the_prefixes_asked_for():
+    arrays = {"a/x": np.linspace(0, 1, 5), "a/empty": np.zeros((0, 4)),
+              "b/y": np.arange(6, dtype=np.int64).reshape(2, 3)}
+    blob = container.pack(b"TEST", 7, {"k": 1}, arrays)
+    meta, entries, loaded = container.read(io.BytesIO(blob), b"TEST", 7, ValueError, "test",
+                                           ("a/",))
+    assert meta == {"k": 1}
+    assert entries == {"a/empty": ("<f8", (0, 4)), "a/x": ("<f8", (5,)),
+                       "b/y": ("<i8", (2, 3))}
+    assert sorted(loaded) == ["a/empty", "a/x"]
+    for name, arr in loaded.items():
+        np.testing.assert_array_equal(arr, arrays[name])
+        assert arr.flags.writeable and arr.flags.aligned and arr.flags.c_contiguous
+    assert container.read(io.BytesIO(blob), b"TEST", 7, ValueError, "test", ())[2] == {}
+
+
+def test_short_read_raises_typed_error():
+    class ShortReads(io.BytesIO):
+        def readinto(self, buffer):
+            return super().readinto(memoryview(buffer).cast("B")[:-1])
+
+    blob = container.pack(b"TEST", 7, {}, {"x": np.ones(3)})
+    with pytest.raises(CorpusConfigError, match="test: truncated inside array x"):
+        container.read(ShortReads(blob), b"TEST", 7, CorpusConfigError, "test")
+
+
 def test_round_trip_keeps_names_dtypes_and_shapes():
     arrays = {"b": np.arange(6, dtype=np.int64).reshape(2, 3), "a": np.linspace(0, 1, 5),
               "empty": np.zeros((0, 4)), "rows": [np.ones(3), np.full(3, 2.0)]}
@@ -118,6 +173,34 @@ def test_corpus_metadata_disagreeing_with_arrays_rejected(corpus_blob, old, new)
     assert corpus_blob.count(old) == 1
     with pytest.raises(CorpusConfigError, match="array shapes"):
         corpus_from_bytes(corpus_blob.replace(old, new))
+
+
+@pytest.mark.parametrize("old, new", [(b'"variants_per_cell": 2', b'"variants_per_cell": 3'),
+                                      (b'"n_bins": 16', b'"n_bins": 12')])
+def test_corpus_header_disagreeing_with_array_entries_rejected(corpus_blob, tmp_path, old,
+                                                               new):
+    path = tmp_path / "corpus.bin"
+    path.write_bytes(corpus_blob.replace(old, new))
+    with pytest.raises(CorpusConfigError, match="array shapes"):
+        load_corpus_header(path)
+
+
+@pytest.mark.parametrize("command", [*INFERENCE_PREFIXES, "resume"])
+@pytest.mark.parametrize("name", ["gen/enc_fc_b", "disc/head_w", "gen_opt/m/dec_fc_w",
+                                  "disc_opt/v/conv1_b"])
+def test_wrongly_shaped_checkpoint_entry_rejected_read_or_not(corpus, checkpoint, tmp_path,
+                                                              command, name):
+    directory, blob = checkpoint
+    meta, arrays = container.unpack(blob, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, ValueError,
+                                    "checkpoint")
+    arrays[name] = arrays[name].reshape(-1)[1:]
+    path = tmp_path / "reshaped.bin"
+    path.write_bytes(container.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, meta, arrays))
+    with pytest.raises(CheckpointError, match="the model needs float64"):
+        if command == "resume":
+            load_checkpoint(path, corpus)
+        else:
+            read_checkpoint(path, corpus, INFERENCE_PREFIXES[command])
 
 
 def test_zero_stride_checkpoint_rejected(corpus, checkpoint):

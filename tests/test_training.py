@@ -221,8 +221,8 @@ class TestCheckpoint:
         save_checkpoint(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_load_draws_no_weights_and_keeps_moments_read_only(self, corpus, tmp_path,
-                                                               monkeypatch):
+    def test_load_draws_no_weights_and_steps_as_the_saved_trainer(self, corpus, tmp_path,
+                                                                  monkeypatch):
         trainer, _, _ = tiny_trainer(corpus)
         trainer.train_step()
         path = tmp_path / "a.bin"
@@ -235,13 +235,9 @@ class TestCheckpoint:
         assert loaded.gen_params.content_hash() == trainer.gen_params.content_hash()
         assert loaded.disc_params.content_hash() == trainer.disc_params.content_hash()
         opts = (loaded.gen_opt, loaded.disc_opt)
-        moments = [(state, name, arr) for opt in opts for state in (opt._m, opt._v)
-                   for name, arr in state.items()]
-        assert moments and not any(arr.flags.writeable for _, _, arr in moments)
+        assert all(opt._m and opt._v for opt in opts)
         loaded.train_step()
         trainer.train_step()
-        for state, name, arr in moments:
-            assert state[name] is not arr and state[name].flags.writeable
         for new, old in zip(opts, (trainer.gen_opt, trainer.disc_opt)):
             for name, arr in new.state_tensors().items():
                 assert arr.tobytes() == old.state_tensors()[name].tobytes()
