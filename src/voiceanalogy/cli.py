@@ -109,10 +109,10 @@ def train_config_from(cfg):
         raise ConfigError(f"config: {exc}") from None
 
 
-def write_pgm(values, path, flip_vertical=True):
+def write_pgm(values, path):
     """Min-max normalized binary PGM; constant input maps to mid-gray.
 
-    Rows are frequency bins (low bins at the bottom of the image)."""
+    Rows are frequency bins, low bins at the bottom of the image."""
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise ValueError("empty spectrogram")
@@ -121,9 +121,7 @@ def write_pgm(values, path, flip_vertical=True):
         norm = (values - lo) / (hi - lo)
     else:
         norm = np.full_like(values, 0.5)
-    img = np.round(norm * 255.0).astype(np.uint8)
-    if flip_vertical:
-        img = img[::-1]
+    img = np.round(norm * 255.0).astype(np.uint8)[::-1]
     h, w = img.shape
     with open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
@@ -131,6 +129,13 @@ def write_pgm(values, path, flip_vertical=True):
 
 
 # ---- commands ----
+
+def _require_inputs(*paths):
+    """Raise FileNotFoundError naming the first of `paths` that does not exist."""
+    for path in paths:
+        if not os.path.exists(path):
+            raise FileNotFoundError(f"missing input: {path}")
+
 
 def cmd_gen_data(cfg, out_dir):
     cqt_cfg = cqt_config_from(cfg)
@@ -155,9 +160,10 @@ def cmd_gen_data(cfg, out_dir):
 
 def cmd_train(cfg, out_dir, corpus_path):
     train_cfg = train_config_from(cfg)
-    if not os.path.exists(corpus_path):
-        print(f"error: corpus not found: {corpus_path}", file=sys.stderr)
-        return EXIT_USAGE
+    _require_inputs(corpus_path)
+    # the header alone fixes the model, so a corpus it cannot serve is
+    # refused before anything is written
+    model_cfg = TR.model_config_for(C.load_corpus_header(corpus_path), train_cfg.transform)
     echo_config(cfg, out_dir)
     corpus = C.load_corpus(corpus_path)
     metrics_path = os.path.join(out_dir, "metrics.log")
@@ -170,29 +176,26 @@ def cmd_train(cfg, out_dir, corpus_path):
               f"real_acc {rec.disc_real_accuracy:.2f}")
 
     trainer, _ = TR.train(corpus, train_cfg, metrics_path=metrics_path,
-                          checkpoint_dir=out_dir, progress=progress)
+                          checkpoint_dir=out_dir, model_config=model_cfg, progress=progress)
     final = os.path.join(out_dir, "final_checkpoint.bin")
     TR.save_checkpoint(trainer, final)
     print(f"wrote {final} and {metrics_path}")
     return EXIT_OK
 
 
-def _clip_samples(cqt_cfg):
-    return int(round(C.UTTERANCE_SECONDS * cqt_cfg.sample_rate))
-
-
 def _check_kernel_fits_clip(cqt_cfg):
     """Refuse a CQT config whose widest kernel is longer than a clip before
     any filterbank is designed: the design alone can take gigabytes."""
-    if cqt_cfg.max_window > _clip_samples(cqt_cfg):
+    clip = C.clip_samples(cqt_cfg.sample_rate)
+    if cqt_cfg.max_window > clip:
         raise Q.SignalLengthError(
             f"longest kernel ({cqt_cfg.max_window} samples) is longer than a clip "
-            f"({_clip_samples(cqt_cfg)} samples)")
+            f"({clip} samples)")
 
 
 def _load_clip(path, cqt_cfg):
     utt = C.wav_read(path)
-    expected = _clip_samples(cqt_cfg)
+    expected = C.clip_samples(cqt_cfg.sample_rate)
     if utt.sample_rate != cqt_cfg.sample_rate:
         raise ConfigError(f"{path}: sample rate {utt.sample_rate}, "
                           f"expected {cqt_cfg.sample_rate}")
@@ -206,10 +209,7 @@ def cmd_convert(cfg, out_dir, checkpoint_path, corpus_path, a_path, b_path, c_pa
     if cfg["griffin_lim_iters"] < 1:
         raise ConfigError(f"config: griffin_lim_iters must be at least 1, "
                           f"got {cfg['griffin_lim_iters']}")
-    for p in (checkpoint_path, corpus_path, a_path, b_path, c_path):
-        if not os.path.exists(p):
-            print(f"error: missing input: {p}", file=sys.stderr)
-            return EXIT_USAGE
+    _require_inputs(checkpoint_path, corpus_path, a_path, b_path, c_path)
     echo_config(cfg, out_dir)
     header = C.load_corpus_header(corpus_path)
     cqt_cfg = header.cqt_config
@@ -242,10 +242,7 @@ def cmd_convert(cfg, out_dir, checkpoint_path, corpus_path, a_path, b_path, c_pa
 
 
 def cmd_eval(cfg, out_dir, checkpoint_path, corpus_path):
-    for p in (checkpoint_path, corpus_path):
-        if not os.path.exists(p):
-            print(f"error: missing input: {p}", file=sys.stderr)
-            return EXIT_USAGE
+    _require_inputs(checkpoint_path, corpus_path)
     echo_config(cfg, out_dir)
     corpus = C.load_corpus(corpus_path)
     trainer = TR.read_checkpoint(checkpoint_path, corpus, ("gen/", "disc/"))
@@ -259,9 +256,7 @@ def cmd_eval(cfg, out_dir, checkpoint_path, corpus_path):
 
 
 def cmd_render(cfg, out_dir, source_path, image_path):
-    if not os.path.exists(source_path):
-        print(f"error: missing input: {source_path}", file=sys.stderr)
-        return EXIT_USAGE
+    _require_inputs(source_path)
     cqt_cfg = cqt_config_from(cfg)
     _check_kernel_fits_clip(cqt_cfg)
     fb = Q.design_filterbank(cqt_cfg)

@@ -32,7 +32,8 @@ def pack(magic, version, meta, arrays):
     entries, chunks = [], []
     for name in sorted(arrays):
         stacked = isinstance(arrays[name], list)
-        rows = [np.ascontiguousarray(r, r.dtype.newbyteorder("<"))
+        # asarray, not ascontiguousarray, which turns a 0-d array into shape (1,)
+        rows = [np.asarray(r, r.dtype.newbyteorder("<"), order="C")
                 for r in (arrays[name] if stacked else [arrays[name]])]
         if len({(r.dtype.str, r.shape) for r in rows}) != 1:
             raise ValueError(f"{name}: rows differ in dtype or shape")

@@ -12,9 +12,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import container
-from .cqt import CqtConfig, Spectrogram, compress, design_filterbank, forward_cqt
+from .cqt import CqtConfig, Spectrogram, compress, design_filterbank, forward_cqt, n_frames
 
 UTTERANCE_SECONDS = 0.5
+SPEAKER_F0_RANGE = (130.0, 260.0)  # Hz, lowest and highest speaker fundamental
 MAX_SYNTH_FREQ = 1600.0  # keep partials inside the default CQT range
 CORPUS_MAGIC = b"AVCORP\x00"
 CORPUS_VERSION = 2
@@ -71,24 +72,17 @@ class Utterance:
 
 @dataclass
 class AnalogyQuadruple:
-    """a:b :: c:d with speaker varying a->b and word varying a->c."""
+    """a:b :: c:d with speaker varying a->b and word varying a->c; b and d
+    are spoken by target_speaker, c and d say target_word."""
 
     a: Spectrogram
     b: Spectrogram
     c: Spectrogram
     d: Spectrogram
     speaker_a: int
-    speaker_b: int
+    target_speaker: int
     word_a: int
-    word_c: int
-
-    @property
-    def target_speaker(self):
-        return self.speaker_b
-
-    @property
-    def target_word(self):
-        return self.word_c
+    target_word: int
 
 
 # Formant presets for the four color words; distinct spectral envelopes
@@ -105,11 +99,11 @@ _COLOR_WORDS = [
 ]
 
 
-def make_speakers(n_speakers, lo=130.0, hi=260.0):
-    """Log-spaced fundamentals over [lo, hi]."""
+def make_speakers(n_speakers):
+    """Log-spaced fundamentals over SPEAKER_F0_RANGE."""
     if n_speakers < 2:
         raise CorpusConfigError("need at least 2 speakers")
-    f0s = np.exp(np.linspace(np.log(lo), np.log(hi), n_speakers))
+    f0s = np.exp(np.linspace(*np.log(SPEAKER_F0_RANGE), n_speakers))
     speakers = []
     for i, f0 in enumerate(f0s):
         speakers.append(SpeakerProfile(
@@ -151,10 +145,15 @@ def _formant_gain(freq, formants):
     return gain
 
 
+def clip_samples(sample_rate):
+    """Samples in one utterance of UTTERANCE_SECONDS at `sample_rate`."""
+    return int(round(UTTERANCE_SECONDS * sample_rate))
+
+
 def synth_utterance(speaker, word, seed, sample_rate=8000):
     """Deterministic harmonic synthesis of one 0.5 s utterance."""
     rng = np.random.default_rng((seed * 0x9E3779B1 + speaker.id * 131 + word.id) & 0xFFFFFFFF)
-    n = int(round(UTTERANCE_SECONDS * sample_rate))
+    n = clip_samples(sample_rate)
     f0 = speaker.f0 * (1.0 + 0.02 * rng.uniform(-1.0, 1.0))
     t = np.arange(n) / sample_rate
 
@@ -202,6 +201,11 @@ class CorpusHeader:
     @property
     def n_words(self):
         return len(self.words)
+
+    @property
+    def frames(self):
+        """CQT frames in each clip's spectrogram."""
+        return n_frames(clip_samples(self.cqt_config.sample_rate), self.cqt_config.hop)
 
     @property
     def holdout_start(self):
@@ -272,7 +276,7 @@ def sample_quadruple(corpus, rng, holdout=False):
         b=corpus.spectrogram(s2, w1, int(variants[1])),
         c=corpus.spectrogram(s1, w2, int(variants[2])),
         d=corpus.spectrogram(s2, w2, int(variants[3])),
-        speaker_a=s1, speaker_b=s2, word_a=w1, word_c=w2,
+        speaker_a=s1, target_speaker=s2, word_a=w1, target_word=w2,
     )
 
 
@@ -367,12 +371,14 @@ def _read(f, prefixes):
         variants = meta["variants_per_cell"]
         (ids, ids_shape), (samples, samples_shape), (specs, specs_shape) = (
             entries[name] for name in ("ids", "samples", "spectrograms"))
+        header = CorpusHeader(cfg, meta["seed"], variants, speakers, words)
         n = len(speakers) * len(words) * variants
-        if (variants < 2 or ids_shape != (n, 3) or len(samples_shape) != 2
-                or samples_shape[0] != n or specs_shape[:2] != (n, cfg.n_bins)
-                or len(specs_shape) != 3 or [ids, samples, specs] != ["<i8", "<f8", "<f8"]):
+        if (variants < 2 or ids_shape != (n, 3)
+                or samples_shape != (n, clip_samples(cfg.sample_rate))
+                or specs_shape != (n, cfg.n_bins, header.frames)
+                or [ids, samples, specs] != ["<i8", "<f8", "<f8"]):
             raise ValueError("array shapes do not match the metadata")
-        return CorpusHeader(cfg, meta["seed"], variants, speakers, words), arrays
+        return header, arrays
     except container.MALFORMED as exc:
         raise CorpusConfigError(f"corpus: malformed metadata: {exc}") from None
 

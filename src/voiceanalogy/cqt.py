@@ -20,7 +20,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .typecheck import check_field_types
 
-DEFAULT_GAMMA = 100.0
+# Magnitude compression log(1 + GAMMA*|z|); corpus.bin stores compressed
+# values without it, so it is fixed.
+GAMMA = 100.0
+# estimate_f0 skips frames whose peak is below SILENCE_THRESHOLD and takes
+# the lowest local maximum reaching PEAK_FRACTION of the frame's peak.
+SILENCE_THRESHOLD = 1e-6
+PEAK_FRACTION = 0.5
 # Extrapolation weight of fast Griffin-Lim; 0 gives the plain update.
 FGLA_ALPHA = 0.9
 
@@ -54,6 +60,12 @@ class CqtConfig:
         if top >= self.sample_rate / 2:
             raise CqtConfigError(
                 f"top bin at {top:.1f} Hz reaches Nyquist ({self.sample_rate / 2:.1f} Hz)")
+        # a Hann window of 2 samples is all zeros, so its kernel would be 0/0
+        shortest = self.window_length(self.n_bins - 1)
+        if shortest < 3:
+            raise CqtConfigError(
+                f"q_scale {self.q_scale!r} makes the shortest kernel {shortest} samples "
+                f"long; it needs at least 3")
 
     def center_frequency(self, k):
         return self.f_min * 2.0 ** (k / self.bins_per_octave)
@@ -134,7 +146,6 @@ class Spectrogram:
 
     values: np.ndarray
     config: CqtConfig
-    gamma: float = DEFAULT_GAMMA
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -192,13 +203,13 @@ def forward_cqt(signal, filterbank):
     return grid
 
 
-def compress(grid, config, gamma=DEFAULT_GAMMA):
-    """Magnitude compression: log(1 + gamma*|z|)."""
-    return Spectrogram(np.log1p(gamma * np.abs(grid)), config, gamma)
+def compress(grid, config):
+    """Magnitude compression: log(1 + GAMMA*|z|)."""
+    return Spectrogram(np.log1p(GAMMA * np.abs(grid)), config)
 
 
-def decompress(values, gamma=DEFAULT_GAMMA):
-    return np.expm1(np.maximum(values, 0.0)) / gamma
+def decompress(values):
+    return np.expm1(np.maximum(values, 0.0)) / GAMMA
 
 
 def _adjoint_frames(grid, filterbank):
@@ -264,8 +275,8 @@ def _lsq_synthesize(grid, filterbank, x0, ax0, cg_iterations):
     return x, ax
 
 
-def inverse_cqt(spec, filterbank, iterations=50, signal_length=None, seed=0,
-                cg_iterations=3, return_errors=False):
+def inverse_cqt(spec, filterbank, iterations, signal_length, seed=0, cg_iterations=3,
+                return_errors=False):
     """Iterative phase recovery from a magnitude spectrogram: fast
     Griffin-Lim (Perraudin, Balazs & Soendergaard 2013) on a CGLS inner solve.
 
@@ -274,7 +285,8 @@ def inverse_cqt(spec, filterbank, iterations=50, signal_length=None, seed=0,
     extrapolates from the previous round's projection by FGLA_ALPHA. A round
     costs cg_iterations forward and cg_iterations adjoint applies. Keeps the
     best iterate seen, so the reported error sequence is non-increasing by
-    construction.
+    construction. `signal_length` is the length of the audio returned, which
+    must analyse to the spectrogram's frame count.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -282,11 +294,8 @@ def inverse_cqt(spec, filterbank, iterations=50, signal_length=None, seed=0,
     if spec.bins != cfg.n_bins:
         raise CqtConfigError(
             f"spectrogram has {spec.bins} bins, the filterbank has {cfg.n_bins}")
-    target = decompress(spec.values, spec.gamma)
+    target = decompress(spec.values)
     t_frames = target.shape[1]
-    if signal_length is None:
-        signal_length = (t_frames - 1) * cfg.hop + cfg.hop - 1
-        signal_length = max(signal_length, filterbank.max_window)
     if signal_length < filterbank.max_window:
         raise SignalLengthError(
             f"signal length {signal_length} shorter than longest kernel "
@@ -321,7 +330,7 @@ def inverse_cqt(spec, filterbank, iterations=50, signal_length=None, seed=0,
     return (best_audio, errors) if return_errors else best_audio
 
 
-def estimate_f0(spec, silence_threshold=1e-6, peak_fraction=0.5):
+def estimate_f0(spec):
     """Median across frames of the lowest strong local-maximum bin, in Hz.
 
     Returns None for silent input.
@@ -334,12 +343,12 @@ def estimate_f0(spec, silence_threshold=1e-6, peak_fraction=0.5):
     for t in range(values.shape[1]):
         frame = values[:, t]
         peak = frame.max()
-        if peak < silence_threshold:
+        if peak < SILENCE_THRESHOLD:
             continue
         for k in range(frame.size):
             lo = frame[k - 1] if k > 0 else -np.inf
             hi = frame[k + 1] if k < frame.size - 1 else -np.inf
-            if frame[k] > lo and frame[k] >= hi and frame[k] >= peak_fraction * peak:
+            if frame[k] > lo and frame[k] >= hi and frame[k] >= PEAK_FRACTION * peak:
                 bins.append(k)
                 break
     if not bins:

@@ -22,7 +22,7 @@ TRANSFORMS = ("additive", "deep")
 @dataclass(frozen=True)
 class ModelConfig:
     bins: int = 48
-    frames: int = 64           # network input width; spectrograms are padded to this
+    frames: int = 64           # input width; training.corpus_fields derives it from a corpus
     channels: tuple = (16, 32)
     kernel: int = 3
     stride: int = 2
@@ -182,16 +182,16 @@ class DiscriminatorParams(ParamSet):
 
 def spec_batch(specs, config):
     """Stack spectrograms into an (N, 1, bins, frames) input array,
-    zero-padding or cropping the frame axis to the configured width."""
+    zero-padding the frame axis to the configured width."""
     n = len(specs)
     out = np.zeros((n, 1, config.bins, config.frames))
     for i, spec in enumerate(specs):
-        values = spec.values if hasattr(spec, "values") else np.asarray(spec)
-        if values.shape[0] != config.bins:
+        bins, frames = spec.values.shape
+        if bins != config.bins or frames > config.frames:
             raise T.ShapeMismatchError(
-                f"spectrogram has {values.shape[0]} bins, model expects {config.bins}")
-        t = min(values.shape[1], config.frames)
-        out[i, 0, :, :t] = values[:, :t]
+                f"spectrogram has {bins} bins and {frames} frames, model takes "
+                f"{config.bins} bins and at most {config.frames} frames")
+        out[i, 0, :, :frames] = spec.values
     return out
 
 

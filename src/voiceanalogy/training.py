@@ -13,8 +13,8 @@ import numpy as np
 
 from . import container
 from . import tensor as T
-from .corpus import sample_quadruple
-from .cqt import estimate_f0, frequency_to_bin
+from .corpus import CorpusConfigError, sample_quadruple
+from .cqt import Spectrogram, estimate_f0, frequency_to_bin
 from .model import (TRANSFORMS, DiscriminatorParams, GeneratorParams, ModelConfig,
                     discriminator_forward, discriminator_loss, generator_forward,
                     generator_total_loss, spec_batch)
@@ -26,6 +26,11 @@ CHECKPOINT_VERSION = 2
 
 METRICS_FIELDS = ("step", "analogy_loss", "disc_loss", "gen_adv_loss",
                   "disc_real_accuracy", "disc_fake_detection_rate")
+
+# evaluate draws this many held-out quadruples, and as many real clips,
+# from its own seeded generator
+EVAL_QUADRUPLES = 64
+EVAL_SEED = 12345
 
 
 class TrainingDivergedError(RuntimeError):
@@ -90,7 +95,6 @@ class MetricsRecord:
 class Batch:
     real_x: np.ndarray          # (n/2, 1, K, T)
     real_classes: list
-    quadruples: list
     gen_a: np.ndarray
     gen_b: np.ndarray
     gen_c: np.ndarray
@@ -112,7 +116,6 @@ def make_batch(corpus, model_config, rng, batch_size):
     return Batch(
         real_x=spec_batch(real, model_config),
         real_classes=real_classes,
-        quadruples=quads,
         gen_a=spec_batch([q.a for q in quads], model_config),
         gen_b=spec_batch([q.b for q in quads], model_config),
         gen_c=spec_batch([q.c for q in quads], model_config),
@@ -128,15 +131,31 @@ def _check_finite(value, step, term):
     return float(value)
 
 
+def corpus_fields(corpus, stride):
+    """The ModelConfig fields that `corpus` (a Corpus or its header) fixes:
+    its bins, words and speakers, and the input width `frames`, a clip's
+    CQT frame count rounded up to a multiple of stride^2 so that both
+    strided layers divide it."""
+    down = stride * stride
+    return {"bins": corpus.cqt_config.n_bins, "frames": -(-corpus.frames // down) * down,
+            "n_words": corpus.n_words, "n_speakers": corpus.n_speakers}
+
+
+def model_config_for(corpus, transform):
+    """The default model for `corpus`, with the given latent transform.
+    Raises CorpusConfigError when the corpus's n_bins is not a multiple of
+    stride^2, which no input width can make up for."""
+    down = ModelConfig.stride * ModelConfig.stride
+    if corpus.cqt_config.n_bins % down:
+        raise CorpusConfigError(f"corpus: n_bins must be a multiple of {down} for the "
+                                f"model's strided layers, got {corpus.cqt_config.n_bins}")
+    return ModelConfig(**corpus_fields(corpus, ModelConfig.stride), transform=transform)
+
+
 class Trainer:
     def __init__(self, corpus, train_config, model_config=None):
         if model_config is None:
-            model_config = ModelConfig(
-                bins=corpus.cqt_config.n_bins,
-                n_words=corpus.n_words,
-                n_speakers=corpus.n_speakers,
-                transform=train_config.transform,
-            )
+            model_config = model_config_for(corpus, train_config.transform)
         init_rng = np.random.default_rng(train_config.seed + 1)
         self._assemble(corpus, train_config, model_config,
                        GeneratorParams(model_config, init_rng),
@@ -281,12 +300,13 @@ def read_checkpoint(path, corpus, prefixes):
     try:
         train_cfg = TrainConfig(**meta["train"])
         model_cfg = ModelConfig(**{**meta["model"], "channels": tuple(meta["model"]["channels"])})
-        model_shape = (model_cfg.bins, model_cfg.n_words, model_cfg.n_speakers)
-        corpus_shape = (corpus.cqt_config.n_bins, corpus.n_words, corpus.n_speakers)
+        wanted = corpus_fields(corpus, model_cfg.stride)
+        model_shape = tuple(getattr(model_cfg, name) for name in wanted)
+        corpus_shape = tuple(wanted.values())
         if model_shape != corpus_shape:
             raise CheckpointError(
-                f"checkpoint {path}: model is for (bins, words, speakers) = {model_shape}, "
-                f"corpus has {corpus_shape}")
+                f"checkpoint {path}: model is for (bins, frames, words, speakers) = "
+                f"{model_shape}, corpus has {corpus_shape}")
         step = meta["step"]
         if type(step) is not int or step < 0:
             raise ValueError(f"step must be a non-negative integer, got {step!r}")
@@ -344,12 +364,12 @@ class EvalReport:
         ]
 
 
-def evaluate(trainer, corpus, n_quadruples=64, seed=12345):
+def evaluate(trainer, corpus):
     """Held-out reconstruction error, f0-transfer score, disc accuracy."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(EVAL_SEED)
     mcfg = trainer.model_config
     cqt_cfg = corpus.cqt_config
-    quads = [sample_quadruple(corpus, rng, holdout=True) for _ in range(n_quadruples)]
+    quads = [sample_quadruple(corpus, rng, holdout=True) for _ in range(EVAL_QUADRUPLES)]
     a = Tensor(spec_batch([q.a for q in quads], mcfg))
     b = Tensor(spec_batch([q.b for q in quads], mcfg))
     c = Tensor(spec_batch([q.c for q in quads], mcfg))
@@ -358,7 +378,6 @@ def evaluate(trainer, corpus, n_quadruples=64, seed=12345):
     recon = float(T.mse_loss(pred, d).data[0])
 
     hits = 0
-    from .cqt import Spectrogram
     for i, q in enumerate(quads):
         values = np.maximum(pred.data[i, 0], 0.0)
         spec = Spectrogram(values, cqt_cfg)
@@ -367,12 +386,12 @@ def evaluate(trainer, corpus, n_quadruples=64, seed=12345):
         if f0 is not None:
             if abs(frequency_to_bin(f0, cqt_cfg) - frequency_to_bin(target_f0, cqt_cfg)) <= 1:
                 hits += 1
-    f0_score = hits / n_quadruples
+    f0_score = hits / EVAL_QUADRUPLES
 
     # discriminator accuracy on held-out real samples
     real = []
     classes = []
-    for _ in range(n_quadruples):
+    for _ in range(EVAL_QUADRUPLES):
         s = int(rng.integers(corpus.n_speakers))
         w = int(rng.integers(corpus.n_words))
         v = int(rng.integers(corpus.holdout_start, corpus.variants_per_cell))
@@ -380,4 +399,4 @@ def evaluate(trainer, corpus, n_quadruples=64, seed=12345):
         classes.append(mcfg.class_index(w, s))
     logits = discriminator_forward(trainer.disc_params.frozen(), Tensor(spec_batch(real, mcfg)))
     acc = float((logits.data.argmax(axis=1) == np.array(classes)).mean())
-    return EvalReport(recon, f0_score, acc, n_quadruples)
+    return EvalReport(recon, f0_score, acc, EVAL_QUADRUPLES)

@@ -194,7 +194,8 @@ class TestCommands:
         ("convert", "griffin_lim_iters = 0"), ("gen-data", "corpus_seed = -1"),
         ("train", "train_seed = -1"), ("convert", "phase_seed = -1"),
         ("gen-data", "q_scale = 0"), ("gen-data", "q_scale = -1"), ("gen-data", "q_scale = inf"),
-        ("gen-data", "q_scale = nan"), ("gen-data", "f_min = nan"), ("gen-data", "f_min = inf")])
+        ("gen-data", "q_scale = nan"), ("gen-data", "f_min = nan"), ("gen-data", "f_min = inf"),
+        ("gen-data", "q_scale = 0.001")])
     def test_bad_config_value_exits_2_before_any_work(self, tmp_path, capsys, command,
                                                       setting):
         bad = tmp_path / "bad.cfg"
@@ -365,7 +366,7 @@ class TestCommands:
             reports.append((out / "eval_report.txt").read_bytes())
         assert reports[0] == reports[1]
 
-    @pytest.mark.parametrize("change", ["n_words = 3", "n_bins = 20"])
+    @pytest.mark.parametrize("change", ["n_words = 3", "n_bins = 20", "hop = 128"])
     def test_eval_mismatched_corpus_exits_2(self, tiny_cfg, tmp_path, capsys, change):
         _, ckpt = gen_and_train(tiny_cfg, tmp_path / "run")
         other_cfg = tmp_path / "other.cfg"
@@ -376,12 +377,47 @@ class TestCommands:
         code = main(["--config", str(tiny_cfg), "--out", str(other), "eval", str(ckpt),
                      str(other / "corpus.bin")])
         assert code == 2
-        assert "corpus has" in one_line_error(capsys)
+        err = one_line_error(capsys)
+        assert "corpus has" in err and "frames" in err
 
-    def test_train_missing_corpus_exits_2(self, tiny_cfg, tmp_path):
+    @pytest.mark.parametrize("hop, frames", [(32, 128), (256, 16)])
+    def test_pipeline_takes_model_frames_from_corpus(self, tiny_cfg, tmp_path, hop, frames):
+        # a clip has 126 CQT frames at hop 32 and 16 at hop 256; the model's
+        # input width is that count rounded up to a multiple of stride^2 = 4
+        config = tmp_path / "hop.cfg"
+        config.write_text(tiny_cfg.read_text().replace("hop = 256", f"hop = {hop}")
+                          + "griffin_lim_iters = 2\n")
+        out = tmp_path / "run"
+        corpus_path, ckpt = gen_and_train(config, out)
+        assert main(["--config", str(config), "--out", str(out), "eval", str(ckpt),
+                     str(corpus_path)]) == 0
+        d = out / "d.wav"
+        assert main(["--config", str(config), "--out", str(out), "convert", str(ckpt),
+                     str(corpus_path), *triple_wavs(out), str(d)]) == 0
+        assert C.wav_read(d).samples.size == 4000
+        meta, _ = container.unpack(ckpt.read_bytes(), CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                                   ValueError, "checkpoint")
+        assert meta["model"]["frames"] == frames
+
+    def test_train_corpus_bins_not_multiple_of_4_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "bins.cfg"
+        config.write_text("version = 1\nn_bins = 42\nn_words = 2\nvariants_per_cell = 2\n")
+        out = tmp_path / "run"
+        assert main(["--config", str(config), "--out", str(out), "gen-data"]) == 0
+        capsys.readouterr()
+        code = main(["--config", str(config), "--out", str(out), "train",
+                     str(out / "corpus.bin")])
+        assert code == 2
+        assert "n_bins" in one_line_error(capsys)
+        assert not (out / "metrics.log").exists()
+        assert not list(out.glob("*checkpoint*")) and not list(out.glob("ckpt_*"))
+
+    def test_train_missing_corpus_exits_2(self, tiny_cfg, tmp_path, capsys):
         code = main(["--config", str(tiny_cfg), "--out", str(tmp_path / "o"),
                      "train", str(tmp_path / "nope.bin")])
         assert code == 2
+        assert "missing input: " in one_line_error(capsys)
+        assert not (tmp_path / "o").exists()
 
     def test_full_pipeline(self, tiny_cfg, tmp_path):
         out = tmp_path / "run"

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from voiceanalogy import container
-from voiceanalogy.corpus import (CORPUS_MAGIC, CorpusConfigError, build_corpus,
+from voiceanalogy.corpus import (CORPUS_MAGIC, CORPUS_VERSION, CorpusConfigError, build_corpus,
                                  corpus_from_bytes, corpus_to_bytes, load_corpus,
                                  load_corpus_header, save_corpus)
 from voiceanalogy.cqt import CqtConfig
@@ -136,19 +136,31 @@ def test_short_read_raises_typed_error():
 
 def test_round_trip_keeps_names_dtypes_and_shapes():
     arrays = {"b": np.arange(6, dtype=np.int64).reshape(2, 3), "a": np.linspace(0, 1, 5),
-              "empty": np.zeros((0, 4)), "rows": [np.ones(3), np.full(3, 2.0)]}
+              "empty": np.zeros((0, 4)), "rows": [np.ones(3), np.full(3, 2.0)],
+              "scalar": np.array(3.5)}
     blob = container.pack(b"TEST", 7, {"k": [1, "x"]}, arrays)
     meta, loaded = container.unpack(blob, b"TEST", 7, ValueError, "test")
     assert meta == {"k": [1, "x"]}
-    assert list(loaded) == ["a", "b", "empty", "rows"]
+    assert list(loaded) == ["a", "b", "empty", "rows", "scalar"]
     for name, arr in arrays.items():
         assert loaded[name].dtype == np.asarray(arr).dtype
+        assert loaded[name].shape == np.shape(arr)
         np.testing.assert_array_equal(loaded[name], np.asarray(arr))
 
 
 def test_rows_of_different_shapes_rejected():
     with pytest.raises(ValueError, match="rows differ"):
         container.pack(b"TEST", 7, {}, {"rows": [np.ones(3), np.ones(4)]})
+
+
+def test_corpus_arrays_must_have_the_clip_length_and_frame_count(corpus_blob):
+    # the model's input width is derived from the header, so the arrays must agree
+    meta, arrays = container.unpack(corpus_blob, CORPUS_MAGIC, CORPUS_VERSION, ValueError,
+                                    "corpus")
+    for key, value in (("hop", 128), ("sample_rate", 16000)):
+        edited = dict(meta, cqt={**meta["cqt"], key: value})
+        with pytest.raises(CorpusConfigError, match="array shapes do not match"):
+            corpus_from_bytes(container.pack(CORPUS_MAGIC, CORPUS_VERSION, edited, arrays))
 
 
 def test_version_1_corpus_rejected(corpus_blob):

@@ -150,7 +150,7 @@ class TestSampleQuadruple:
         rng = np.random.default_rng(0)
         for _ in range(50):
             q = sample_quadruple(small_corpus, rng)
-            assert q.speaker_a != q.speaker_b
+            assert q.speaker_a != q.target_speaker
             assert q.word_a != q.target_word
             assert isinstance(q, AnalogyQuadruple)
 
@@ -159,7 +159,7 @@ class TestSampleQuadruple:
         for _ in range(2):
             rng = np.random.default_rng(9)
             q = sample_quadruple(small_corpus, rng)
-            draws.append((q.speaker_a, q.speaker_b, q.word_a, q.target_word,
+            draws.append((q.speaker_a, q.target_speaker, q.word_a, q.target_word,
                           q.a.values.tobytes()))
         assert draws[0] == draws[1]
 

@@ -66,7 +66,6 @@ class TestMakeBatch:
         trainer, _, mcfg = tiny_trainer(corpus)
         batch = make_batch(corpus, mcfg, np.random.default_rng(0), 16)
         assert batch.real_x.shape[0] == 8
-        assert len(batch.quadruples) == 8
         assert batch.gen_a.shape == (8, 1, mcfg.bins, mcfg.frames)
         assert len(batch.target_classes) == 8
 
@@ -274,8 +273,8 @@ class TestCheckpoint:
 class TestEvaluate:
     def test_untrained_report_fields(self, corpus):
         trainer, _, _ = tiny_trainer(corpus)
-        report = evaluate(trainer, corpus, n_quadruples=8)
-        assert report.n_quadruples == 8
+        report = evaluate(trainer, corpus)
+        assert report.n_quadruples == 64
         assert report.reconstruction_error > 0
         assert 0.0 <= report.f0_transfer_score <= 1.0
         assert 0.0 <= report.disc_real_accuracy <= 1.0
