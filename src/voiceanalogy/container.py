@@ -6,8 +6,9 @@ then the raw little-endian arrays back to back in header (name) order.
 
 One reader parses the format, from a seekable binary file: it checks the
 header and that the listed array sizes sum to the file's size, then seeks
-to each array the caller asks for and reads it into one fresh, aligned and
-writeable buffer, skipping the rest. It raises the caller's error class on
+to each array the caller asks for and reads it into one fresh writeable
+buffer, at an offset that is a multiple of 8 so that every array is
+aligned, skipping the rest. It raises the caller's error class on
 any malformed input.
 """
 
@@ -18,14 +19,18 @@ import os
 
 import numpy as np
 
-DTYPES = ("<f8", "<i8")
+DTYPES = ("<f4", "<f8", "<i8")
+# read places each array at a multiple of this many bytes in its buffer, the
+# widest item size in DTYPES; numpy's own buffer is aligned to at least this
+ALIGN = 8
 # what decoding a header, or building objects from its metadata, raises on
 # malformed values; each reader turns these into its typed error
 MALFORMED = (ArithmeticError, LookupError, TypeError, ValueError)
 
 
 def pack(magic, version, meta, arrays):
-    """Bytes holding `meta` (JSON-able) and the named float64/int64 `arrays`.
+    """Bytes holding `meta` (JSON-able) and the named `arrays`, each of a
+    dtype in DTYPES.
 
     A list of same-shape arrays is stored as one stacked array, without
     building the stack in memory."""
@@ -85,17 +90,21 @@ def read(f, magic, version, error, what, prefixes=("",)):
     # few MB each on every call, so a long-lived process faulted in fresh
     # pages on each read (a whole default checkpoint took 15.6 ms instead of
     # 3.0 on a 2-core x86-64 machine).
+    # In the file an array starts wherever the one before it ends, so after a
+    # float32 array of odd length a float64 one is misaligned; in the buffer
+    # each starts at a multiple of ALIGN.
     wanted = [name.startswith(prefixes) for name, _, _ in entries]
-    buffer = np.empty(sum(n for n, w in zip(sizes, wanted) if w), np.uint8)
+    rooms = [-(-n // ALIGN) * ALIGN for n in sizes]
+    buffer = np.empty(sum(r for r, w in zip(rooms, wanted) if w), np.uint8)
     arrays, at = {}, 0
-    for (name, dtype, shape), nbytes, w in zip(entries, sizes, wanted):
+    for (name, dtype, shape), nbytes, room, w in zip(entries, sizes, rooms, wanted):
         if w:
             f.seek(end)
             view = buffer[at:at + nbytes]
             if f.readinto(view) != nbytes:
                 raise error(f"{what}: truncated inside array {name}")
             arrays[name] = view.view(dtype).reshape(shape)
-            at += nbytes
+            at += room
         end += nbytes
     return meta, {name: (dtype, shape) for name, dtype, shape in entries}, arrays
 

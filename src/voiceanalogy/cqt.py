@@ -338,23 +338,21 @@ def estimate_f0(spec):
     values = spec.values
     if values.shape[1] < 1:
         raise ValueError("spectrogram has no frames")
-    cfg = spec.config
-    bins = []
-    for t in range(values.shape[1]):
-        frame = values[:, t]
-        peak = frame.max()
-        if peak < SILENCE_THRESHOLD:
-            continue
-        for k in range(frame.size):
-            lo = frame[k - 1] if k > 0 else -np.inf
-            hi = frame[k + 1] if k < frame.size - 1 else -np.inf
-            if frame[k] > lo and frame[k] >= hi and frame[k] >= PEAK_FRACTION * peak:
-                bins.append(k)
-                break
-    if not bins:
+    # a bin qualifies if it is above the bin below it and not below the bin
+    # above it (past either edge is -inf), and reaches PEAK_FRACTION of its
+    # frame's peak; a frame whose peak is below SILENCE_THRESHOLD has none,
+    # nor has a frame holding a NaN, whose peak is NaN
+    edge = np.full((1, values.shape[1]), -np.inf)
+    peak = values.max(axis=0)
+    qualifies = ((values > np.concatenate([edge, values[:-1]]))
+                 & (values >= np.concatenate([values[1:], edge]))
+                 & (values >= PEAK_FRACTION * peak)
+                 & (peak >= SILENCE_THRESHOLD))
+    voiced = qualifies.any(axis=0)
+    if not voiced.any():
         return None
-    median_bin = int(np.median(bins))
-    return cfg.center_frequency(median_bin)
+    median_bin = int(np.median(qualifies.argmax(axis=0)[voiced]))
+    return spec.config.center_frequency(median_bin)
 
 
 def frequency_to_bin(freq, config):

@@ -17,6 +17,10 @@ from .tensor import Tensor
 from .typecheck import check_field_types
 
 TRANSFORMS = ("additive", "deep")
+# The networks' weights, their input batches and so every activation and
+# gradient are single precision; the losses still reduce in float64
+# (tensor.mse_loss, tensor.softmax_cross_entropy). Checkpoints store it.
+DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -82,11 +86,13 @@ class ParamSet:
     A subclass names its parameters in `layout(config)`, an ordered
     name -> (shape, fan_in) table: a parameter with a fan-in starts
     He-normal, one with fan_in None at zero. The draws follow table order,
-    so a seed fixes every initial weight."""
+    so a seed fixes every initial weight; they are drawn in float64 and
+    stored as DTYPE."""
 
     def __init__(self, config, rng):
-        self.params = {name: Tensor(np.zeros(shape) if fan_in is None
-                                    else _he_init(rng, shape, fan_in), requires_grad=True)
+        self.params = {name: Tensor(np.zeros(shape, DTYPE) if fan_in is None
+                                    else _he_init(rng, shape, fan_in).astype(DTYPE),
+                                    requires_grad=True)
                        for name, (shape, fan_in) in self.layout(config).items()}
         self.config = config
 
@@ -181,10 +187,10 @@ class DiscriminatorParams(ParamSet):
 
 
 def spec_batch(specs, config):
-    """Stack spectrograms into an (N, 1, bins, frames) input array,
+    """Stack spectrograms into an (N, 1, bins, frames) DTYPE input array,
     zero-padding the frame axis to the configured width."""
     n = len(specs)
-    out = np.zeros((n, 1, config.bins, config.frames))
+    out = np.zeros((n, 1, config.bins, config.frames), DTYPE)
     for i, spec in enumerate(specs):
         bins, frames = spec.values.shape
         if bins != config.bins or frames > config.frames:

@@ -1,9 +1,15 @@
-"""Minimal reverse-mode autodiff engine on float64 numpy arrays.
+"""Minimal reverse-mode autodiff engine on float32 or float64 numpy arrays.
 
 Tensors are rank 1..4, row-major. The graph is rebuilt each step
 (define-by-run); backward walks nodes in reverse topological order and
 accumulates gradients additively, so reusing a tensor twice doubles its
 gradient as expected.
+
+A tensor keeps a float32 or float64 array as it is (anything else becomes
+float64), and each op computes in, and hands back gradients in, the dtype
+of its inputs; float32 meeting float64 computes in float64. The losses
+reduce in float64 and return a float64 scalar, and `gradient_check`
+differentiates in float64 whatever the parameters' dtype.
 """
 
 import numpy as np
@@ -17,8 +23,13 @@ class GraphError(RuntimeError):
     pass
 
 
+_FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
+
+
 def _as_array(data):
-    arr = np.asarray(data, dtype=np.float64)
+    arr = np.asarray(data)
+    if arr.dtype not in _FLOATS:
+        arr = arr.astype(np.float64)
     if arr.ndim == 0:
         arr = arr.reshape(1)
     if not 1 <= arr.ndim <= 4:
@@ -91,7 +102,7 @@ class Tensor:
 
     def _binary(self, other, op_kind):
         if not isinstance(other, Tensor):
-            other = Tensor(np.full(1, float(other)))
+            other = Tensor(np.full(1, float(other), self.data.dtype))
         a, b = self.data, other.data
         try:
             result_shape = np.broadcast_shapes(a.shape, b.shape)
@@ -270,7 +281,7 @@ def _im2col(x, kh, kw, stride, pad):
 
 def _col2im(cols, x_shape, kh, kw, stride, pad, ho, wo):
     n, c, h, w = x_shape
-    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
+    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), cols.dtype)
     cols = cols.reshape(n, c, kh, kw, ho, wo)
     for i in range(kh):
         for j in range(kw):
@@ -360,7 +371,7 @@ def conv2d_transpose(x, w, stride=1, padding=0, out_hw=None):
 
 def softmax_cross_entropy(logits, target_classes):
     """Mean over rows of -log softmax(logits)[target]. logits: (N, C)."""
-    z = logits.data
+    z = np.asarray(logits.data, np.float64)
     if z.ndim != 2:
         raise ShapeMismatchError(f"softmax_cross_entropy expects (N, C) logits, got {z.shape}")
     n, c = z.shape
@@ -377,7 +388,7 @@ def softmax_cross_entropy(logits, target_classes):
         p = np.exp(shifted)
         p /= p.sum(axis=1, keepdims=True)
         p[np.arange(n), targets] -= 1.0
-        return g[0] * p / n
+        return (g[0] * p / n).astype(logits.data.dtype, copy=False)
 
     return logits._unary(loss, vjp)
 
@@ -388,14 +399,14 @@ def mse_loss(pred, target):
     The leading axis is the batch axis for rank >= 2; rank-1 inputs count
     as a single sample.
     """
-    t = target.data if isinstance(target, Tensor) else np.asarray(target, dtype=np.float64)
+    t = target.data if isinstance(target, Tensor) else np.asarray(target)
     p = pred.data
     if p.shape != t.shape:
         raise ShapeMismatchError(f"mse_loss shapes differ: {p.shape} vs {t.shape}")
     n = p.shape[0] if p.ndim >= 2 else 1
-    diff = p - t
+    diff = np.subtract(p, t, dtype=np.float64)
     loss = np.array([0.5 * (diff * diff).sum() / n])
-    return pred._unary(loss, lambda g: g[0] * diff / n)
+    return pred._unary(loss, lambda g: (g[0] * diff / n).astype(p.dtype, copy=False))
 
 
 # ---- optimizers ----
@@ -437,23 +448,26 @@ class Adam:
         bc1 = 1.0 - b1 ** self.step_count
         bc2 = 1.0 - b2 ** self.step_count
         lr, eps = self.learning_rate, self.epsilon
-        scratch = np.empty(_ADAM_BLOCK), np.empty(_ADAM_BLOCK)
+        scratch = {}  # two block buffers per parameter dtype
         for name, p in named_params.items():
             if p.grad is None:
                 raise MissingGradientError(f"parameter {name!r} has no gradient")
             if name not in self._m:
-                self._m[name] = np.zeros(p.data.shape)
-                self._v[name] = np.zeros(p.data.shape)
+                self._m[name] = np.zeros(p.data.shape, p.data.dtype)
+                self._v[name] = np.zeros(p.data.shape, p.data.dtype)
             m = self._m[name].reshape(-1)
             v = self._v[name].reshape(-1)
             g = p.grad.reshape(-1)
             x = p.data.reshape(-1)  # a view unless p.data is not contiguous
+            if x.dtype not in scratch:
+                scratch[x.dtype] = (np.empty(_ADAM_BLOCK, x.dtype),
+                                    np.empty(_ADAM_BLOCK, x.dtype))
             # per element: m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
             # x -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps), in that order
             for start in range(0, x.size, _ADAM_BLOCK):
                 block = slice(start, start + _ADAM_BLOCK)
                 mb, vb, gb, xb = m[block], v[block], g[block], x[block]
-                t, u = (s[:xb.size] for s in scratch)
+                t, u = (s[:xb.size] for s in scratch[x.dtype])
                 mb *= b1
                 mb += np.multiply(gb, 1.0 - b1, out=t)
                 vb *= b2
@@ -468,7 +482,8 @@ class Adam:
             p.grad = None
 
     def state_tensors(self):
-        """Named float64 arrays that belong in a checkpoint."""
+        """Named arrays that belong in a checkpoint: the step count as a
+        float64 array, and each moment in its parameter's dtype."""
         out = {"step_count": np.array([float(self.step_count)])}
         for name in sorted(self._m):
             out[f"m/{name}"] = self._m[name]
@@ -496,9 +511,24 @@ def gradient_check(build_loss, named_params, step=1e-5, max_coords_per_tensor=No
 
     `build_loss` rebuilds the scalar loss from the current parameter
     values. Returns the max relative error over checked coordinates.
+    Each checked parameter computes on a float64 copy of its values, so the
+    check runs in float64 whatever the parameters' dtype; the original
+    array objects are put back, unchanged, at the end.
     """
-    for p in named_params.values():
-        p.grad = None
+    originals = {name: p.data for name, p in named_params.items()}
+    try:
+        for p in named_params.values():
+            p.data = p.data.astype(np.float64)
+            p.grad = None
+        return _max_gradient_error(build_loss, named_params, step, max_coords_per_tensor,
+                                   rng)
+    finally:
+        for name, p in named_params.items():
+            p.data = originals[name]
+            p.grad = None
+
+
+def _max_gradient_error(build_loss, named_params, step, max_coords_per_tensor, rng):
     loss = build_loss()
     loss.backward()
     analytic = {name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
@@ -525,6 +555,4 @@ def gradient_check(build_loss, named_params, step=1e-5, max_coords_per_tensor=No
             a = aflat[i]
             rel = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
             worst = max(worst, rel)
-    for p in named_params.values():
-        p.grad = None
     return worst

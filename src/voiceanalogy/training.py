@@ -15,14 +15,15 @@ from . import container
 from . import tensor as T
 from .corpus import CorpusConfigError, sample_quadruple
 from .cqt import Spectrogram, estimate_f0, frequency_to_bin
-from .model import (TRANSFORMS, DiscriminatorParams, GeneratorParams, ModelConfig,
+from .model import (DTYPE, TRANSFORMS, DiscriminatorParams, GeneratorParams, ModelConfig,
                     discriminator_forward, discriminator_loss, generator_forward,
                     generator_total_loss, spec_batch)
 from .tensor import Adam, Tensor
 from .typecheck import check_field_types
 
 CHECKPOINT_MAGIC = b"AVCKPT\x00"
-CHECKPOINT_VERSION = 2
+# version 3 stores the networks and their Adam moments as float32
+CHECKPOINT_VERSION = 3
 
 METRICS_FIELDS = ("step", "analogy_loss", "disc_loss", "gen_adv_loss",
                   "disc_real_accuracy", "disc_fake_detection_rate")
@@ -311,6 +312,7 @@ def read_checkpoint(path, corpus, prefixes):
         if type(step) is not int or step < 0:
             raise ValueError(f"step must be a non-negative integer, got {step!r}")
         nets = {"gen": GeneratorParams, "disc": DiscriminatorParams}
+        want = np.dtype(DTYPE).newbyteorder("<").str
         for prefix, params in nets.items():
             _, count = entries.get(f"{prefix}_opt/step_count", (None, ()))
             if not count or count[0] < 1:
@@ -321,10 +323,10 @@ def read_checkpoint(path, corpus, prefixes):
                 # a missing moment is allowed: Adam starts it at zero
                 for key in (f"{prefix}/{name}", f"{prefix}_opt/m/{name}",
                             f"{prefix}_opt/v/{name}"):
-                    dtype, got = entries.get(key, ("<f8", shape))
-                    if (dtype, got) != ("<f8", shape):
+                    dtype, got = entries.get(key, (want, shape))
+                    if (dtype, got) != (want, shape):
                         raise ValueError(f"{key} is {np.dtype(dtype)} {got}, "
-                                         f"the model needs float64 {shape}")
+                                         f"the model needs {np.dtype(DTYPE)} {shape}")
         gen, disc = (params.from_arrays(model_cfg, _under(f"{prefix}/", tensors))
                      if f"{prefix}/" in prefixes else None
                      for prefix, params in nets.items())

@@ -6,7 +6,7 @@ import pytest
 from voiceanalogy import cli, container, corpus as C, cqt as Q
 from voiceanalogy.cli import (ConfigError, main, parse_config, write_pgm)
 from voiceanalogy.corpus import CORPUS_MAGIC, CORPUS_VERSION, Utterance, wav_write
-from voiceanalogy.training import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
+from voiceanalogy.training import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CheckpointError, resume
 
 
 @pytest.fixture
@@ -262,6 +262,25 @@ class TestCommands:
             assert main(["--config", str(tiny_cfg), "--out", str(out), *command]) == 2
             assert "final_checkpoint.bin: header lists" in one_line_error(capsys)
         assert not (out / "d.wav").exists()
+
+    def test_float64_checkpoint_of_version_2_exits_2(self, tiny_cfg, tmp_path, capsys):
+        out = tmp_path / "run"
+        corpus_path, ckpt = gen_and_train(tiny_cfg, out)
+        meta, arrays = container.unpack(ckpt.read_bytes(), CHECKPOINT_MAGIC,
+                                        CHECKPOINT_VERSION, ValueError, "checkpoint")
+        old = out / "v2.bin"   # as version 2 wrote it: every array float64
+        old.write_bytes(container.pack(CHECKPOINT_MAGIC, 2, meta,
+                                       {name: arr.astype(np.float64)
+                                        for name, arr in arrays.items()}))
+        for command in (["convert", str(old), str(corpus_path), *triple_wavs(out),
+                         str(out / "d.wav")],
+                        ["eval", str(old), str(corpus_path)]):
+            capsys.readouterr()
+            assert main(["--config", str(tiny_cfg), "--out", str(out), *command]) == 2
+            assert "v2.bin: unsupported version 2, expected 3" in one_line_error(capsys)
+        assert not (out / "d.wav").exists()
+        with pytest.raises(CheckpointError, match="unsupported version 2, expected 3"):
+            resume(C.load_corpus(corpus_path), old)
 
     def test_convert_and_eval_read_no_optimizer_state(self, tiny_cfg, tmp_path, monkeypatch):
         out = tmp_path / "run"

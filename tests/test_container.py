@@ -124,6 +124,26 @@ def test_read_gives_fresh_arrays_of_the_prefixes_asked_for():
     assert container.read(io.BytesIO(blob), b"TEST", 7, ValueError, "test", ())[2] == {}
 
 
+@pytest.mark.parametrize("prefixes", [("",), ("a/",), ("b/", "c/")])
+def test_read_aligns_every_array_of_mixed_dtypes(prefixes):
+    # in the file a float32 array of odd length leaves the next one misaligned
+    rng = np.random.default_rng(0)
+    arrays = {"a/f4_odd": rng.normal(size=3).astype("<f4"),
+              "a/f8": rng.normal(size=(2, 3)),
+              "b/f4_one": np.float32([1.5]), "b/i8": np.arange(5, dtype=np.int64),
+              "c/f4_empty": np.zeros((0, 3), np.float32), "c/f4_5": np.ones(5, np.float32),
+              "c/f8_scalar": np.array(2.5), "d/f4_7": np.arange(7, dtype=np.float32)}
+    blob = container.pack(b"TEST", 7, {}, arrays)
+    offsets = np.cumsum([0] + [arrays[name].nbytes for name in sorted(arrays)])
+    assert any(offset % 8 for offset in offsets)
+    _, _, loaded = container.read(io.BytesIO(blob), b"TEST", 7, ValueError, "test", prefixes)
+    assert sorted(loaded) == sorted(name for name in arrays if name.startswith(prefixes))
+    for name, arr in loaded.items():
+        assert arr.flags.aligned and arr.flags.writeable, name
+        assert arr.dtype == arrays[name].dtype and arr.shape == arrays[name].shape
+        assert arr.tobytes() == arrays[name].tobytes()
+
+
 def test_short_read_raises_typed_error():
     class ShortReads(io.BytesIO):
         def readinto(self, buffer):
@@ -208,7 +228,7 @@ def test_wrongly_shaped_checkpoint_entry_rejected_read_or_not(corpus, checkpoint
     arrays[name] = arrays[name].reshape(-1)[1:]
     path = tmp_path / "reshaped.bin"
     path.write_bytes(container.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, meta, arrays))
-    with pytest.raises(CheckpointError, match="the model needs float64"):
+    with pytest.raises(CheckpointError, match="the model needs float32"):
         if command == "resume":
             load_checkpoint(path, corpus)
         else:

@@ -420,7 +420,55 @@ class TestFastGriffinLim:
         assert sparse == pytest.approx(dense, rel=1e-9, abs=0)
 
 
+def loop_estimate_f0(spec):
+    """estimate_f0 as a per-frame, per-bin loop: the oracle of the
+    vectorised estimator."""
+    values = spec.values
+    bins = []
+    for t in range(values.shape[1]):
+        frame = values[:, t]
+        peak = frame.max()
+        if peak < cqt.SILENCE_THRESHOLD:
+            continue
+        for k in range(frame.size):
+            lo = frame[k - 1] if k > 0 else -np.inf
+            hi = frame[k + 1] if k < frame.size - 1 else -np.inf
+            if frame[k] > lo and frame[k] >= hi and frame[k] >= cqt.PEAK_FRACTION * peak:
+                bins.append(k)
+                break
+    if not bins:
+        return None
+    return spec.config.center_frequency(int(np.median(bins)))
+
+
+def f0_grids():
+    """(name, values): random grids, grids of few levels (plateaus and ties),
+    grids with silent frames and with NaN, from one bin up to the default 48."""
+    rng = np.random.default_rng(11)
+    for bins, frames in ((48, 64), (16, 7), (5, 9), (2, 4), (1, 5), (3, 1)):
+        yield f"random_{bins}x{frames}", rng.random((bins, frames))
+        yield f"levels_{bins}x{frames}", rng.integers(0, 3, (bins, frames)) / 2.0
+        quiet = rng.random((bins, frames))
+        quiet[:, ::2] *= 1e-7
+        yield f"silent_frames_{bins}x{frames}", quiet
+        nan = rng.random((bins, frames))
+        nan[rng.integers(bins), ::3] = np.nan
+        yield f"nan_{bins}x{frames}", nan
+    yield "silent", np.zeros((48, 64))
+    at_threshold = rng.random((6, 4)) * cqt.SILENCE_THRESHOLD
+    at_threshold[3, :2] = cqt.SILENCE_THRESHOLD
+    yield "peak_at_silence_threshold", at_threshold
+    yield "all_nan", np.full((48, 64), np.nan)
+    yield "inf", np.where(rng.random((8, 6)) < 0.2, np.inf, rng.random((8, 6)))
+    yield "neg_inf", np.where(rng.random((8, 6)) < 0.3, -np.inf, rng.random((8, 6)))
+
+
 class TestEstimateF0:
+    @pytest.mark.parametrize("name, values", list(f0_grids()))
+    def test_same_as_loop(self, config, name, values):
+        spec = Spectrogram(values, config)
+        assert estimate_f0(spec) == loop_estimate_f0(spec)
+
     def test_harmonic_tone(self, filterbank, config):
         sig = (tone(200.0) + 0.6 * tone(400.0) + 0.4 * tone(600.0)) / 2
         spec = compress(forward_cqt(sig, filterbank), config)

@@ -153,6 +153,28 @@ class TestGenerator:
                                rng=np.random.default_rng(22))
         assert err < 1e-4
 
+    def test_gradient_check_of_float32_generator_runs_in_float64(self, gen_params,
+                                                                disc_params):
+        disc_params["head_w"].data[:] = np.random.default_rng(23).normal(
+            size=disc_params["head_w"].shape) * 0.1
+        a, b, c, d = (toy_batch(2, seed).astype(np.float32) for seed in (24, 25, 26, 27))
+        before = {name: (p.data, p.data.tobytes()) for name, p in gen_params.items()}
+        dtypes = []
+
+        def loss():
+            pred = generator_forward(gen_params, Tensor(a), Tensor(b), Tensor(c))
+            dtypes.append(pred.data.dtype)
+            return generator_total_loss(pred, d, disc_params.frozen(), [1, 6], 0.05)[0]
+
+        err = T.gradient_check(loss, gen_params.named(), max_coords_per_tensor=8,
+                               rng=np.random.default_rng(28))
+        assert err < 1e-4
+        assert set(dtypes) == {np.dtype(np.float64)}
+        for name, p in gen_params.items():
+            data, raw = before[name]
+            assert p.data is data and p.data.dtype == np.float32
+            assert p.data.tobytes() == raw and p.grad is None
+
 
 class TestDiscriminator:
     def test_logit_count(self, disc_params):
@@ -259,3 +281,22 @@ class TestSpecBatch:
 
         with pytest.raises(T.ShapeMismatchError):
             spec_batch([Fake()], TOY)
+
+    def test_float32_batch(self):
+        class Fake:
+            values = np.full((8, 5), 0.1)
+
+        out = spec_batch([Fake()], TOY)
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out[0, 0, :, :5], np.float32(0.1))
+
+
+@pytest.mark.parametrize("params", [GeneratorParams, DiscriminatorParams])
+def test_weights_are_float32_casts_of_the_same_draws(params):
+    got = params(ModelConfig(transform="deep"), np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    for name, (shape, fan_in) in params.layout(got.config).items():
+        want = (np.zeros(shape) if fan_in is None
+                else rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape))
+        assert got[name].data.dtype == np.float32
+        assert got[name].data.tobytes() == want.astype(np.float32).tobytes()

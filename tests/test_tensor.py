@@ -290,6 +290,23 @@ class TestBlockedAdam:
                 assert new[name].grad is None
         assert not np.array_equal(new["w"].data, start)
 
+    def test_float32_bit_identical_to_unblocked(self):
+        rng = np.random.default_rng(5)
+        size = 2 * self.BLOCK + 3
+        new = {"w": Tensor(rng.normal(size=size).astype(np.float32), requires_grad=True)}
+        old = {"w": Tensor(new["w"].data.copy(), requires_grad=True)}
+        opt, state = Adam(3e-3, 0.5, 0.999, 1e-8), {"t": 0}
+        for _ in range(3):
+            grad = rng.normal(size=size).astype(np.float32)
+            new["w"].grad, old["w"].grad = grad.copy(), grad.copy()
+            opt.step(new)
+            old_adam_step(state, old, 3e-3, 0.5, 0.999, 1e-8)
+            assert new["w"].data.tobytes() == old["w"].data.tobytes()
+            assert opt._m["w"].tobytes() == state["m/w"].tobytes()
+            assert opt._v["w"].tobytes() == state["v/w"].tobytes()
+        dtypes = {a.dtype for a in (new["w"].data, opt._m["w"], opt._v["w"])}
+        assert dtypes == {np.dtype(np.float32)}
+
     def test_non_contiguous_parameter_updated_in_place(self):
         base = np.random.default_rng(1).normal(size=(6, 8))
         p = Tensor(base.T, requires_grad=True)  # a Fortran-ordered view of base
@@ -355,3 +372,58 @@ class TestGradientCheck:
         c = np.arange(1.0, 6.0)
         err = T.gradient_check(lambda: (x * Tensor(c)).sum(), {"x": x})
         assert err < 1e-9
+
+
+class TestFloat32:
+    def test_float_arrays_kept_others_become_float64(self):
+        assert Tensor(np.ones(2, np.float32)).data.dtype == np.float32
+        assert Tensor(np.ones(2)).data.dtype == np.float64
+        assert Tensor([1, 2]).data.dtype == np.float64
+        assert Tensor(np.ones(2, np.float16)).data.dtype == np.float64
+
+    def test_ops_and_gradients_keep_float32(self, monkeypatch):
+        # a node casts what it accumulates to its own dtype, so the vjps'
+        # outputs are recorded before the cast
+        handed = []
+        accumulate = Tensor._accumulate
+
+        def recording(node, g):
+            handed.append((g.dtype, g.size))
+            accumulate(node, g)
+        monkeypatch.setattr(Tensor, "_accumulate", recording)
+        rng = np.random.default_rng(3)
+
+        def f32(*shape):
+            return Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+
+        x, w, b, m = f32(2, 2, 6, 6), f32(3, 2, 3, 3), f32(3, 1, 1), f32(36, 5)
+        steps = [(T.conv2d(x, w, 2, 1) + b).leaky_relu(0.2) * 2.0 - 1.0]
+        steps.append(T.conv2d_transpose(steps[-1], w, 2, 1, out_hw=(6, 6)))
+        h = steps[-1]
+        steps.append(T.concat([h.relu(), h.tanh(), h.sigmoid(), -h], axis=1))
+        steps.append(steps[-1].reshape(16, 36) @ m)
+        steps.append(steps[-1].sum())
+        assert [s.data.dtype for s in steps] == [np.float32] * len(steps)
+        loss = (T.mse_loss(steps[-2], np.zeros((16, 5), np.float32))
+                + T.softmax_cross_entropy(steps[-2], np.arange(16) % 5) + steps[-1])
+        loss.backward()
+        assert [p.grad.dtype for p in (x, w, b, m, *steps)] == [np.float32] * 9
+        assert {dtype for dtype, size in handed if size > 1} == {np.dtype(np.float32)}
+
+    def test_losses_reduce_in_float64(self):
+        rng = np.random.default_rng(4)
+        pred = rng.normal(size=(4, 7)).astype(np.float32)
+        target = rng.normal(size=(4, 7)).astype(np.float32)
+        p = Tensor(pred, requires_grad=True)
+        loss = T.mse_loss(p, target)
+        want = 0.5 * ((pred.astype(np.float64) - target) ** 2).sum() / 4
+        assert loss.data.dtype == np.float64 and loss.data[0] == pytest.approx(want, rel=1e-15)
+        loss.backward()
+        assert p.grad.dtype == np.float32
+        logits = Tensor(pred, requires_grad=True)
+        ce = T.softmax_cross_entropy(logits, [0, 3, 6, 1])
+        assert ce.data.dtype == np.float64
+        want = T.softmax_cross_entropy(Tensor(pred.astype(np.float64)), [0, 3, 6, 1])
+        assert ce.data[0] == want.data[0]
+        ce.backward()
+        assert logits.grad.dtype == np.float32

@@ -7,7 +7,7 @@ from voiceanalogy import model
 from voiceanalogy.corpus import build_corpus
 from voiceanalogy.cqt import CqtConfig
 from voiceanalogy.model import (ModelConfig, discriminator_forward, discriminator_loss,
-                                generator_forward, spec_batch)
+                                generator_forward, generator_total_loss, spec_batch)
 from voiceanalogy.tensor import Tensor
 from voiceanalogy.training import (CheckpointError, MetricsRecord, Trainer,
                                    TrainConfig, TrainingDivergedError, evaluate,
@@ -292,3 +292,58 @@ class TestEvaluate:
         rec = MetricsRecord(3, 1.0, 2.0, 3.0, 0.5, 0.25, 123.456)
         assert "123.456" not in rec.log_line()
         assert rec.log_line().split()[0] == "3"
+
+
+class TestFloat32:
+    """A float64 array slipping into the step costs the float32 speed-up
+    without failing a numeric test, so the dtypes are checked directly."""
+
+    @pytest.fixture(scope="class")
+    def trainer(self):
+        # the default CQT config, and so the default model
+        return Trainer(build_corpus(2, 4, 3, seed=0), TrainConfig())
+
+    def test_gen_step_graph_and_gradients_are_float32(self, trainer, monkeypatch):
+        assert trainer.model_config == ModelConfig()
+        # a node casts what it accumulates to its own dtype, so the vjps'
+        # outputs are recorded before the cast
+        handed = []
+        accumulate = Tensor._accumulate
+
+        def recording(node, g):
+            handed.append(g.dtype)
+            accumulate(node, g)
+        monkeypatch.setattr(Tensor, "_accumulate", recording)
+        batch = make_batch(trainer.corpus, trainer.model_config, np.random.default_rng(0),
+                           trainer.config.batch_size)
+        pred = generator_forward(trainer.gen_params, Tensor(batch.gen_a),
+                                 Tensor(batch.gen_b), Tensor(batch.gen_c))
+        total, _, _ = generator_total_loss(pred, batch.gen_d, trainer.disc_params.frozen(),
+                                           batch.target_classes, trainer.config.lambda_adv)
+        trainer.gen_params.zero_grads()
+        total.backward()
+        nodes, stack = {}, [total]
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                stack.extend(node._parents)
+        tensors = [n for n in nodes.values() if n.data.size > 1]
+        assert len(tensors) > 40
+        assert {n.data.dtype for n in tensors} == {np.dtype(np.float32)}
+        assert {n.grad.dtype for n in tensors if n._track} == {np.dtype(np.float32)}
+        # the float64 total, its two losses and the weighted adversarial
+        # term take a float64 gradient
+        assert len(handed) > 40
+        assert handed.count(np.dtype(np.float64)) == 4
+        assert set(handed) == {np.dtype(np.float32), np.dtype(np.float64)}
+        assert total.data.dtype == np.float64
+
+    def test_parameters_and_moments_stay_float32(self, trainer):
+        trainer.train_step()
+        arrays = trainer.named_tensors()
+        assert arrays.pop("gen_opt/step_count").dtype == np.float64
+        assert arrays.pop("disc_opt/step_count").dtype == np.float64
+        assert {a.dtype for a in arrays.values()} == {np.dtype(np.float32)}
+        assert len(arrays) == 3 * (len(trainer.gen_params.named())
+                                   + len(trainer.disc_params.named()))
