@@ -3,7 +3,8 @@
 Configuration is a flat key=value text file with '#' comments and a
 mandatory `version` key; unknown keys are rejected and the effective
 config is echoed to the output directory. Exit codes: 0 success,
-1 internal error, 2 usage/config error.
+1 internal error, 2 usage/config error or a training run that diverged
+(a loss that is not finite).
 """
 
 import argparse
@@ -318,8 +319,8 @@ def main(argv=None):
             return cmd_render(cfg, args.out, args.source_wav, args.image)
         parser.error(f"unknown command {args.command!r}")
     except (ConfigError, C.CorpusConfigError, C.WavFormatError, Q.CqtConfigError,
-            Q.SignalLengthError, TR.CheckpointError, FileNotFoundError,
-            PermissionError) as exc:
+            Q.SignalLengthError, TR.CheckpointError, TR.TrainingDivergedError,
+            FileNotFoundError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # internal failure

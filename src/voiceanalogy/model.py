@@ -8,6 +8,8 @@ conv stack with |W|*|S| + 1 output logits: one class per (word, speaker)
 pair plus a single fake class.
 """
 
+import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,14 +82,26 @@ def _he_init(rng, shape, fan_in):
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
 
 
+# One table row: the weights <name>_w (He-normal, or zero if not he) and zero bias <name>_b of a
+# "conv", "tconv" (transposed) or "fc" layer, inputs -> outputs, then leaky ReLU if activated.
+Layer = namedtuple("Layer", "name kind inputs outputs activated he", defaults=(True,))
+
+
+def _conv_stack(prefix, fc_name, n_out, he, config):
+    """The encoder's and the critic's rows: two strided convs, then an fc."""
+    c1, c2 = config.channels
+    return [Layer(f"{prefix}conv1", "conv", 1, c1, True),
+            Layer(f"{prefix}conv2", "conv", c1, c2, True),
+            Layer(fc_name, "fc", config.feature_size, n_out, False, he)]
+
+
 class ParamSet:
     """Ordered name -> Tensor mapping with hashing and frozen views.
 
-    A subclass names its parameters in `layout(config)`, an ordered
-    name -> (shape, fan_in) table: a parameter with a fan-in starts
-    He-normal, one with fan_in None at zero. The draws follow table order,
-    so a seed fixes every initial weight; they are drawn in float64 and
-    stored as DTYPE."""
+    `layout(config)` is derived from the subclass's `rows(config)`: name ->
+    (shape, fan_in) in table order, the draw order, so a seed fixes every
+    initial weight. Fan-in None starts at zero, any other He-normal, drawn in
+    float64 and stored as DTYPE."""
 
     def __init__(self, config, rng):
         self.params = {name: Tensor(np.zeros(shape, DTYPE) if fan_in is None
@@ -95,6 +109,19 @@ class ParamSet:
                                     requires_grad=True)
                        for name, (shape, fan_in) in self.layout(config).items()}
         self.config = config
+
+    @classmethod
+    def layout(cls, config):
+        k = config.kernel
+        table = {}
+        for name, kind, n_in, n_out, _, he in cls.rows(config):
+            # a transposed conv's kernel is that of the conv it is the adjoint of
+            w_shape = {"conv": (n_out, n_in, k, k), "tconv": (n_in, n_out, k, k),
+                       "fc": (n_in, n_out)}[kind]
+            # each output sums over fan_in inputs; a conv bias broadcasts over the maps
+            table[f"{name}_w"] = (w_shape, math.prod(w_shape) // n_out if he else None)
+            table[f"{name}_b"] = ((n_out,) + (1,) * (len(w_shape) - 2), None)
+        return table
 
     @classmethod
     def from_arrays(cls, config, arrays):
@@ -144,46 +171,26 @@ class ParamSet:
 
 class GeneratorParams(ParamSet):
     @staticmethod
-    def layout(config):
+    def rows(config, part=""):
+        # table order is draw order, which fixes each seed's weights; `part`
+        # keeps the rows of one part ("enc_", "dec_" or "tr_"), in forward order
         c1, c2 = config.channels
-        k = config.kernel
-        table = {
-            "enc_conv1_w": ((c1, 1, k, k), k * k),
-            "enc_conv1_b": ((c1, 1, 1), None),
-            "enc_conv2_w": ((c2, c1, k, k), c1 * k * k),
-            "enc_conv2_b": ((c2, 1, 1), None),
-            "enc_fc_w": ((config.feature_size, config.latent), config.feature_size),
-            "enc_fc_b": ((config.latent,), None),
-            "dec_fc_w": ((config.latent, config.feature_size), config.latent),
-            "dec_fc_b": ((config.feature_size,), None),
-            "dec_tconv1_w": ((c2, c1, k, k), c2 * k * k),
-            "dec_tconv1_b": ((c1, 1, 1), None),
-            "dec_tconv2_w": ((c1, 1, k, k), c1 * k * k),
-            "dec_tconv2_b": ((1, 1, 1), None),
-        }
+        rows = _conv_stack("enc_", "enc_fc", config.latent, True, config) + [
+            Layer("dec_fc", "fc", config.latent, config.feature_size, True),
+            Layer("dec_tconv1", "tconv", c2, c1, True),
+            Layer("dec_tconv2", "tconv", c1, 1, False)]   # linear output
         if config.transform == "deep":
-            width = 2 * config.latent
-            table["tr_fc1_w"] = ((width, width), width)
-            table["tr_fc1_b"] = ((width,), None)
-            table["tr_fc2_w"] = ((width, config.latent), width)
-            table["tr_fc2_b"] = ((config.latent,), None)
-        return table
+            width = 2 * config.latent   # the transform reads [zb - za, zc]
+            rows += [Layer("tr_fc1", "fc", width, width, True),
+                     Layer("tr_fc2", "fc", width, config.latent, False)]
+        return [row for row in rows if row.name.startswith(part)]
 
 
 class DiscriminatorParams(ParamSet):
     @staticmethod
-    def layout(config):
-        c1, c2 = config.channels
-        k = config.kernel
+    def rows(config):
         # Zero-initialized head: untrained logits are exactly uniform.
-        return {
-            "conv1_w": ((c1, 1, k, k), k * k),
-            "conv1_b": ((c1, 1, 1), None),
-            "conv2_w": ((c2, c1, k, k), c1 * k * k),
-            "conv2_b": ((c2, 1, 1), None),
-            "head_w": ((config.feature_size, config.n_classes), None),
-            "head_b": ((config.n_classes,), None),
-        }
+        return _conv_stack("", "head", config.n_classes, False, config)
 
 
 def spec_batch(specs, config):
@@ -201,43 +208,42 @@ def spec_batch(specs, config):
     return out
 
 
+def _forward(params, rows, h):
+    """Run `rows` on h: an fc row flattens a 4-D input, a tconv row unflattens a
+    2-D one to (inputs, *feature_hw). Ops are looked up on each call, as tracers patch them."""
+    cfg = params.config
+    s = cfg.stride
+    for row in rows:
+        w, b = params[f"{row.name}_w"], params[f"{row.name}_b"]
+        if row.kind == "conv":
+            h = T.conv2d(h, w, s, cfg.padding)
+        elif row.kind == "fc":
+            h = (h if len(h.shape) == 2 else h.reshape(h.shape[0], row.inputs)) @ w
+        else:
+            if len(h.shape) == 2:
+                h = h.reshape(h.shape[0], row.inputs, *cfg.feature_hw)
+            # a strided conv maps several sizes to h; its tconv gives back h * stride
+            h = T.conv2d_transpose(h, w, s, cfg.padding, out_hw=(h.shape[2] * s, h.shape[3] * s))
+        h = h + b
+        h = h.leaky_relu(cfg.leaky_alpha) if row.activated else h
+    return h
+
+
 def encode(params, x):
     """x: Tensor (N, 1, bins, frames) -> latent (N, latent)."""
-    cfg = params.config
-    a = cfg.leaky_alpha
-    h = T.conv2d(x, params["enc_conv1_w"], cfg.stride, cfg.padding) + params["enc_conv1_b"]
-    h = h.leaky_relu(a)
-    h = T.conv2d(h, params["enc_conv2_w"], cfg.stride, cfg.padding) + params["enc_conv2_b"]
-    h = h.leaky_relu(a)
-    h = h.reshape(h.shape[0], cfg.feature_size)
-    return h @ params["enc_fc_w"] + params["enc_fc_b"]
+    return _forward(params, params.rows(params.config, "enc_"), x)
 
 
 def transform(params, za, zb, zc):
-    cfg = params.config
     delta = zb - za
-    if cfg.transform == "additive":
+    if params.config.transform == "additive":
         return delta + zc
-    h = T.concat([delta, zc], axis=1)
-    h = (h @ params["tr_fc1_w"] + params["tr_fc1_b"]).leaky_relu(cfg.leaky_alpha)
-    return h @ params["tr_fc2_w"] + params["tr_fc2_b"]
+    return _forward(params, params.rows(params.config, "tr_"), T.concat([delta, zc], axis=1))
 
 
 def decode(params, z):
     """z: Tensor (N, latent) -> (N, 1, bins, frames), final layer linear."""
-    cfg = params.config
-    a = cfg.leaky_alpha
-    c1, c2 = cfg.channels
-    fh, fw = cfg.feature_hw
-    h = (z @ params["dec_fc_w"] + params["dec_fc_b"]).leaky_relu(a)
-    h = h.reshape(h.shape[0], c2, fh, fw)
-    mid_hw = (cfg.bins // cfg.stride, cfg.frames // cfg.stride)
-    h = T.conv2d_transpose(h, params["dec_tconv1_w"], cfg.stride, cfg.padding,
-                           out_hw=mid_hw) + params["dec_tconv1_b"]
-    h = h.leaky_relu(a)
-    h = T.conv2d_transpose(h, params["dec_tconv2_w"], cfg.stride, cfg.padding,
-                           out_hw=(cfg.bins, cfg.frames)) + params["dec_tconv2_b"]
-    return h
+    return _forward(params, params.rows(params.config, "dec_"), z)
 
 
 def generator_forward(params, a, b, c):
@@ -253,14 +259,7 @@ def analogy_loss(pred, d):
 
 
 def discriminator_forward(params, x):
-    cfg = params.config
-    a = cfg.leaky_alpha
-    h = T.conv2d(x, params["conv1_w"], cfg.stride, cfg.padding) + params["conv1_b"]
-    h = h.leaky_relu(a)
-    h = T.conv2d(h, params["conv2_w"], cfg.stride, cfg.padding) + params["conv2_b"]
-    h = h.leaky_relu(a)
-    h = h.reshape(h.shape[0], cfg.feature_size)
-    return h @ params["head_w"] + params["head_b"]
+    return _forward(params, params.rows(params.config), x)
 
 
 def discriminator_loss(params, real_x, real_classes, generated_x):

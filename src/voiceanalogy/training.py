@@ -6,6 +6,7 @@ batches. All randomness flows through one seeded generator so metrics
 logs are a pure function of (config, corpus).
 """
 
+import math
 import time
 from dataclasses import dataclass, asdict
 
@@ -64,11 +65,11 @@ class TrainConfig:
                               "log_interval")]
         rules += [("batch_size", self.batch_size >= 2 and self.batch_size % 2 == 0,
                    "even and at least 2 (half-generated batch rule)"),
-                  ("learning_rate", self.learning_rate > 0, "positive"),
+                  ("learning_rate", 0 < self.learning_rate < math.inf, "finite and positive"),
                   ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
                   ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
-                  ("epsilon", self.epsilon > 0, "positive"),
-                  ("lambda_adv", self.lambda_adv >= 0, "at least 0"),
+                  ("epsilon", 0 < self.epsilon < math.inf, "finite and positive"),
+                  ("lambda_adv", 0 <= self.lambda_adv < math.inf, "finite and at least 0"),
                   ("transform", self.transform in TRANSFORMS, f"one of {TRANSFORMS}")]
         for name, ok, wanted in rules:
             if not ok:
@@ -206,16 +207,20 @@ class Trainer:
         return a_v, adv_v
 
     def train_step(self):
-        """One alternation: disc steps then a gen step; returns a record."""
+        """One alternation: disc steps then a gen step; returns a record.
+        Raises TrainingDivergedError when a loss is not finite."""
         t0 = time.monotonic()
         disc_loss = real_acc = fake_rate = 0.0
-        for _ in range(self.config.disc_steps_per_gen_step):
+        # a diverging run overflows float32 before a loss reads inf or nan;
+        # the loss check reports it, so numpy's warnings would only repeat it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for _ in range(self.config.disc_steps_per_gen_step):
+                batch = make_batch(self.corpus, self.model_config, self.rng,
+                                   self.config.batch_size)
+                disc_loss, real_acc, fake_rate = self.disc_step(batch)
             batch = make_batch(self.corpus, self.model_config, self.rng,
                                self.config.batch_size)
-            disc_loss, real_acc, fake_rate = self.disc_step(batch)
-        batch = make_batch(self.corpus, self.model_config, self.rng,
-                           self.config.batch_size)
-        a_loss, adv_loss = self.gen_step(batch)
+            a_loss, adv_loss = self.gen_step(batch)
         self.step += 1
         return MetricsRecord(self.step, a_loss, disc_loss, adv_loss,
                              real_acc, fake_rate, time.monotonic() - t0)

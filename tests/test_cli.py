@@ -1,4 +1,10 @@
 import io
+import os
+import re
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,7 +201,8 @@ class TestCommands:
         ("train", "train_seed = -1"), ("convert", "phase_seed = -1"),
         ("gen-data", "q_scale = 0"), ("gen-data", "q_scale = -1"), ("gen-data", "q_scale = inf"),
         ("gen-data", "q_scale = nan"), ("gen-data", "f_min = nan"), ("gen-data", "f_min = inf"),
-        ("gen-data", "q_scale = 0.001")])
+        ("gen-data", "q_scale = 0.001"), ("train", "learning_rate = inf"),
+        ("train", "epsilon = inf"), ("train", "lambda_adv = inf")])
     def test_bad_config_value_exits_2_before_any_work(self, tmp_path, capsys, command,
                                                       setting):
         bad = tmp_path / "bad.cfg"
@@ -208,6 +215,42 @@ class TestCommands:
         assert code == 2
         assert setting.split(" = ")[0] in one_line_error(capsys)
         assert not out.exists()
+
+    def test_diverging_train_exits_2_with_one_line(self, tiny_cfg, tmp_path, capsys):
+        # a finite weight this large overflows the float32 adversarial gradient
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(tiny_cfg.read_text() + "lambda_adv = 1e308\n")
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "--out", str(out), "gen-data"]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            # any numpy warning would become an exception, and so exit 1
+            warnings.simplefilter("error")
+            code = main(["--config", str(cfg), "--out", str(out), "train",
+                         str(out / "corpus.bin")])
+        assert code == 2
+        assert re.fullmatch(r"error: \w+_loss is (nan|-?inf) at step \d+\n",
+                            one_line_error(capsys))
+        assert not (out / "final_checkpoint.bin").exists()
+
+    def test_train_writes_same_bytes_with_one_or_two_blas_threads(self, tmp_path):
+        # the thread count is read when BLAS loads, so each run is its own process
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text("version = 1\nsteps = 10\nlog_interval = 1\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "data"), "gen-data"]) == 0
+        src = str(Path(cli.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            subprocess.run([sys.executable, "-m", "voiceanalogy.cli", "--config", str(cfg),
+                            "--out", str(out), "train", str(tmp_path / "data" / "corpus.bin")],
+                           env=env, check=True, capture_output=True)
+            outputs.append([(out / name).read_bytes()
+                            for name in ("metrics.log", "final_checkpoint.bin")])
+        assert outputs[0][0].count(b"\n") == 11   # the header and steps 1-10
+        assert outputs[0] == outputs[1]
 
     def test_negative_seed_flag_exits_2_before_any_work(self, tmp_path, capsys):
         out = tmp_path / "o"

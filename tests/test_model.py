@@ -300,3 +300,52 @@ def test_weights_are_float32_casts_of_the_same_draws(params):
                 else rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape))
         assert got[name].data.dtype == np.float32
         assert got[name].data.tobytes() == want.astype(np.float32).tobytes()
+
+
+# Written out, not derived from `layout`: the checkpoint names, their order
+# (the draw order) and each He fan-in; None marks a zero-initialised array.
+CONV_STACK = [("conv1_w", (16, 1, 3, 3), 9), ("conv1_b", (16, 1, 1), None),
+              ("conv2_w", (32, 16, 3, 3), 144), ("conv2_b", (32, 1, 1), None)]
+GENERATOR_LAYOUT = [
+    *[("enc_" + name, shape, fan_in) for name, shape, fan_in in CONV_STACK],
+    ("enc_fc_w", (6144, 64), 6144), ("enc_fc_b", (64,), None),
+    ("dec_fc_w", (64, 6144), 64), ("dec_fc_b", (6144,), None),
+    ("dec_tconv1_w", (32, 16, 3, 3), 288), ("dec_tconv1_b", (16, 1, 1), None),
+    ("dec_tconv2_w", (16, 1, 3, 3), 144), ("dec_tconv2_b", (1, 1, 1), None)]
+DEEP_TRANSFORM_LAYOUT = [("tr_fc1_w", (128, 128), 128), ("tr_fc1_b", (128,), None),
+                         ("tr_fc2_w", (128, 64), 128), ("tr_fc2_b", (64,), None)]
+CRITIC_LAYOUT = [*CONV_STACK, ("head_w", (6144, 9), None), ("head_b", (9,), None)]
+# (transform, seed) -> content_hash of the generator and then the critic,
+# drawn from one generator seeded with `seed`, in that order, as Trainer does
+INITIAL_HASHES = {
+    ("additive", 0): ("b792ddd3736252f234b02371591f0e75f624128ca286be4a96e8487cc32b3630",
+                      "636496364ea1682cc848ece6872c30697c414fdf468c50c2319da5ea0ff09442"),
+    ("additive", 1): ("16f2d74a4f0087f54c55963cdae82092dd76885a876dce461da8b49cbab7a1e9",
+                      "01c91119353d1e960a2334014be91cb4860c602eb0cc9883989f38ec7bf57e16"),
+    ("deep", 0): ("1b3aeccd5c44a8f4a3070cb24e51a20b11fa0c9cc9f92ca6f504e64d450ec315",
+                  "8a7c34d72212680320ae0b09cff020787ddae48f24ccae92dd4f45916748f2c4"),
+    ("deep", 1): ("ce5026265a50b9c741b007123847f8ca7da663572443ff6e7317cd1c2b7e96c3",
+                  "85bd635317f2ea788180391adea670b78eee6f1ed6ee05b7aca422e2c7d3e624"),
+}
+
+
+@pytest.mark.parametrize("transform", ["additive", "deep"])
+def test_parameter_names_shapes_and_fan_ins_are_pinned(transform):
+    cfg = ModelConfig(transform=transform)
+    deep = DEEP_TRANSFORM_LAYOUT if transform == "deep" else []
+    for params, want in ((GeneratorParams, GENERATOR_LAYOUT + deep),
+                         (DiscriminatorParams, CRITIC_LAYOUT)):
+        got = [(name, shape, fan_in) for name, (shape, fan_in) in params.layout(cfg).items()]
+        assert got == want
+        made = params(cfg, np.random.default_rng(0))
+        assert [(name, p.data.shape) for name, p in made.items()] == \
+            [(name, shape) for name, shape, _ in want]
+
+
+@pytest.mark.parametrize("transform, seed", sorted(INITIAL_HASHES))
+def test_initial_weights_of_each_seed_are_pinned(transform, seed):
+    rng = np.random.default_rng(seed)
+    cfg = ModelConfig(transform=transform)
+    gen = GeneratorParams(cfg, rng)
+    disc = DiscriminatorParams(cfg, rng)
+    assert (gen.content_hash(), disc.content_hash()) == INITIAL_HASHES[transform, seed]
