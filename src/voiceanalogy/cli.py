@@ -17,7 +17,7 @@ import numpy as np
 from . import corpus as C
 from . import cqt as Q
 from . import training as TR
-from .model import generator_forward, spec_batch
+from .model import TRANSFORMS, ModelConfig, generator_forward, spec_batch
 from .tensor import Tensor
 
 EXIT_OK = 0
@@ -26,8 +26,8 @@ EXIT_USAGE = 2
 
 CONFIG_VERSION = 1
 
-# CQT and training keys come from the dataclass defaults; TrainConfig.seed
-# is spelled train_seed beside corpus_seed.
+# CQT, training and transform keys come from the dataclass defaults;
+# TrainConfig.seed is spelled train_seed beside corpus_seed.
 TRAIN_KEYS = {"seed": "train_seed"}
 
 CONFIG_DEFAULTS = {
@@ -39,6 +39,7 @@ CONFIG_DEFAULTS = {
     "variants_per_cell": 20,
     "corpus_seed": 0,
     **{TRAIN_KEYS.get(k, k): v for k, v in asdict(TR.TrainConfig()).items()},
+    "transform": ModelConfig.transform,
     # rendering / inversion
     "griffin_lim_iters": 30,
     "phase_seed": 0,
@@ -161,10 +162,13 @@ def cmd_gen_data(cfg, out_dir):
 
 def cmd_train(cfg, out_dir, corpus_path):
     train_cfg = train_config_from(cfg)
+    if cfg["transform"] not in TRANSFORMS:
+        raise ConfigError(f"config: transform must be one of {TRANSFORMS}, "
+                          f"got {cfg['transform']!r}")
     _require_inputs(corpus_path)
     # the header alone fixes the model, so a corpus it cannot serve is
     # refused before anything is written
-    model_cfg = TR.model_config_for(C.load_corpus_header(corpus_path), train_cfg.transform)
+    model_cfg = TR.model_config_for(C.load_corpus_header(corpus_path), cfg["transform"])
     echo_config(cfg, out_dir)
     corpus = C.load_corpus(corpus_path)
     metrics_path = os.path.join(out_dir, "metrics.log")

@@ -23,6 +23,10 @@ TRANSFORMS = ("additive", "deep")
 # gradient are single precision; the losses still reduce in float64
 # (tensor.mse_loss, tensor.softmax_cross_entropy). Checkpoints store it.
 DTYPE = np.float32
+KERNEL = 3           # every conv and tconv layer: KERNEL x KERNEL, stride STRIDE,
+STRIDE = 2           # zero padding PADDING
+PADDING = 1
+LEAKY_ALPHA = 0.2    # the slope of every activated layer's leaky ReLU
 
 
 @dataclass(frozen=True)
@@ -30,27 +34,19 @@ class ModelConfig:
     bins: int = 48
     frames: int = 64           # input width; training.corpus_fields derives it from a corpus
     channels: tuple = (16, 32)
-    kernel: int = 3
-    stride: int = 2
-    padding: int = 1
     latent: int = 64
     n_words: int = 4
     n_speakers: int = 2
     transform: str = "additive"   # or "deep"
-    leaky_alpha: float = 0.2
 
     def __post_init__(self):
         check_field_types(self)
-        sizes = {"kernel": self.kernel, "stride": self.stride, "latent": self.latent,
+        sizes = {"latent": self.latent,
                  **{f"channels[{i}]": c for i, c in enumerate(self.channels)}}
         for name, value in sizes.items():
             if value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
-        if self.padding < 0:
-            raise ValueError(f"padding must be at least 0, got {self.padding}")
-        if not 0 <= self.leaky_alpha <= 1:
-            raise ValueError(f"leaky_alpha must be in [0, 1], got {self.leaky_alpha!r}")
-        down = self.stride * self.stride
+        down = STRIDE * STRIDE
         if self.bins % down or self.frames % down:
             raise ValueError("bins and frames must be divisible by stride^2")
         if self.transform not in TRANSFORMS:
@@ -58,8 +54,7 @@ class ModelConfig:
 
     @property
     def feature_hw(self):
-        return (self.bins // (self.stride * self.stride),
-                self.frames // (self.stride * self.stride))
+        return self.bins // (STRIDE * STRIDE), self.frames // (STRIDE * STRIDE)
 
     @property
     def feature_size(self):
@@ -112,11 +107,11 @@ class ParamSet:
 
     @classmethod
     def layout(cls, config):
-        k = config.kernel
         table = {}
         for name, kind, n_in, n_out, _, he in cls.rows(config):
             # a transposed conv's kernel is that of the conv it is the adjoint of
-            w_shape = {"conv": (n_out, n_in, k, k), "tconv": (n_in, n_out, k, k),
+            w_shape = {"conv": (n_out, n_in, KERNEL, KERNEL),
+                       "tconv": (n_in, n_out, KERNEL, KERNEL),
                        "fc": (n_in, n_out)}[kind]
             # each output sums over fan_in inputs; a conv bias broadcasts over the maps
             table[f"{name}_w"] = (w_shape, math.prod(w_shape) // n_out if he else None)
@@ -211,21 +206,20 @@ def spec_batch(specs, config):
 def _forward(params, rows, h):
     """Run `rows` on h: an fc row flattens a 4-D input, a tconv row unflattens a
     2-D one to (inputs, *feature_hw). Ops are looked up on each call, as tracers patch them."""
-    cfg = params.config
-    s = cfg.stride
     for row in rows:
         w, b = params[f"{row.name}_w"], params[f"{row.name}_b"]
         if row.kind == "conv":
-            h = T.conv2d(h, w, s, cfg.padding)
+            h = T.conv2d(h, w, STRIDE, PADDING)
         elif row.kind == "fc":
             h = (h if len(h.shape) == 2 else h.reshape(h.shape[0], row.inputs)) @ w
         else:
             if len(h.shape) == 2:
-                h = h.reshape(h.shape[0], row.inputs, *cfg.feature_hw)
+                h = h.reshape(h.shape[0], row.inputs, *params.config.feature_hw)
             # a strided conv maps several sizes to h; its tconv gives back h * stride
-            h = T.conv2d_transpose(h, w, s, cfg.padding, out_hw=(h.shape[2] * s, h.shape[3] * s))
+            h = T.conv2d_transpose(h, w, STRIDE, PADDING,
+                                   out_hw=(h.shape[2] * STRIDE, h.shape[3] * STRIDE))
         h = h + b
-        h = h.leaky_relu(cfg.leaky_alpha) if row.activated else h
+        h = h.leaky_relu(LEAKY_ALPHA) if row.activated else h
     return h
 
 

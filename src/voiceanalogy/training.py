@@ -16,15 +16,15 @@ from . import container
 from . import tensor as T
 from .corpus import CorpusConfigError, sample_quadruple
 from .cqt import Spectrogram, estimate_f0, frequency_to_bin
-from .model import (DTYPE, TRANSFORMS, DiscriminatorParams, GeneratorParams, ModelConfig,
+from .model import (DTYPE, STRIDE, DiscriminatorParams, GeneratorParams, ModelConfig,
                     discriminator_forward, discriminator_loss, generator_forward,
                     generator_total_loss, spec_batch)
 from .tensor import Adam, Tensor
 from .typecheck import check_field_types
 
 CHECKPOINT_MAGIC = b"AVCKPT\x00"
-# version 3 stores the networks and their Adam moments as float32
-CHECKPOINT_VERSION = 3
+# version 4: float32 networks and Adam moments, configs without the fixed geometry
+CHECKPOINT_VERSION = 4
 
 METRICS_FIELDS = ("step", "analogy_loss", "disc_loss", "gen_adv_loss",
                   "disc_real_accuracy", "disc_fake_detection_rate")
@@ -56,7 +56,6 @@ class TrainConfig:
     seed: int = 0
     checkpoint_interval: int = 500
     log_interval: int = 10
-    transform: str = "additive"
 
     def __post_init__(self):
         check_field_types(self)
@@ -69,8 +68,7 @@ class TrainConfig:
                   ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
                   ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
                   ("epsilon", 0 < self.epsilon < math.inf, "finite and positive"),
-                  ("lambda_adv", 0 <= self.lambda_adv < math.inf, "finite and at least 0"),
-                  ("transform", self.transform in TRANSFORMS, f"one of {TRANSFORMS}")]
+                  ("lambda_adv", 0 <= self.lambda_adv < math.inf, "finite and at least 0")]
         for name, ok, wanted in rules:
             if not ok:
                 raise ValueError(f"{name} must be {wanted}, got {getattr(self, name)!r}")
@@ -133,12 +131,12 @@ def _check_finite(value, step, term):
     return float(value)
 
 
-def corpus_fields(corpus, stride):
+def corpus_fields(corpus):
     """The ModelConfig fields that `corpus` (a Corpus or its header) fixes:
     its bins, words and speakers, and the input width `frames`, a clip's
-    CQT frame count rounded up to a multiple of stride^2 so that both
+    CQT frame count rounded up to a multiple of STRIDE^2 so that both
     strided layers divide it."""
-    down = stride * stride
+    down = STRIDE * STRIDE
     return {"bins": corpus.cqt_config.n_bins, "frames": -(-corpus.frames // down) * down,
             "n_words": corpus.n_words, "n_speakers": corpus.n_speakers}
 
@@ -146,18 +144,18 @@ def corpus_fields(corpus, stride):
 def model_config_for(corpus, transform):
     """The default model for `corpus`, with the given latent transform.
     Raises CorpusConfigError when the corpus's n_bins is not a multiple of
-    stride^2, which no input width can make up for."""
-    down = ModelConfig.stride * ModelConfig.stride
+    STRIDE^2, which no input width can make up for."""
+    down = STRIDE * STRIDE
     if corpus.cqt_config.n_bins % down:
         raise CorpusConfigError(f"corpus: n_bins must be a multiple of {down} for the "
                                 f"model's strided layers, got {corpus.cqt_config.n_bins}")
-    return ModelConfig(**corpus_fields(corpus, ModelConfig.stride), transform=transform)
+    return ModelConfig(**corpus_fields(corpus), transform=transform)
 
 
 class Trainer:
     def __init__(self, corpus, train_config, model_config=None):
         if model_config is None:
-            model_config = model_config_for(corpus, train_config.transform)
+            model_config = model_config_for(corpus, ModelConfig.transform)
         init_rng = np.random.default_rng(train_config.seed + 1)
         self._assemble(corpus, train_config, model_config,
                        GeneratorParams(model_config, init_rng),
@@ -277,9 +275,14 @@ def _run(trainer, steps, metrics_path, checkpoint_dir, progress):
 # ---- checkpoint serialization ----
 
 def save_checkpoint(trainer, path):
+    """Write `trainer` to `path`, or raise TrainingDivergedError if an array is not finite."""
+    arrays = trainer.named_tensors()
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise TrainingDivergedError(f"{name} is not finite at step {trainer.step}")
     meta = {"train": asdict(trainer.config), "model": asdict(trainer.model_config),
             "step": trainer.step, "rng": trainer.rng.bit_generator.state}
-    data = container.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, meta, trainer.named_tensors())
+    data = container.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, meta, arrays)
     container.write_atomic(path, data)
     return data
 
@@ -295,10 +298,11 @@ def read_checkpoint(path, corpus, prefixes):
     """The trainer saved at `path`, reading only the arrays whose names
     start with one of `prefixes` ("gen/", "disc/", "gen_opt/", "disc_opt/").
 
-    Every entry is checked against the model whether it is read or not. A
-    network left unread is None and an optimizer whose state is left unread
-    starts empty, so such a trainer serves inference only: `convert` reads
-    "gen/", `eval` "gen/" and "disc/"."""
+    The file must hold exactly the model's arrays (parameters, both Adam
+    moments of each, step counts), read or not. A network left unread is
+    None and an optimizer whose state is left unread starts empty, so such
+    a trainer serves inference only: `convert` reads "gen/", `eval` "gen/"
+    and "disc/"."""
     with open(path, "rb") as f:
         meta, entries, tensors = container.read(f, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                                                 CheckpointError, f"checkpoint {path}",
@@ -306,7 +310,7 @@ def read_checkpoint(path, corpus, prefixes):
     try:
         train_cfg = TrainConfig(**meta["train"])
         model_cfg = ModelConfig(**{**meta["model"], "channels": tuple(meta["model"]["channels"])})
-        wanted = corpus_fields(corpus, model_cfg.stride)
+        wanted = corpus_fields(corpus)
         model_shape = tuple(getattr(model_cfg, name) for name in wanted)
         corpus_shape = tuple(wanted.values())
         if model_shape != corpus_shape:
@@ -318,20 +322,17 @@ def read_checkpoint(path, corpus, prefixes):
             raise ValueError(f"step must be a non-negative integer, got {step!r}")
         nets = {"gen": GeneratorParams, "disc": DiscriminatorParams}
         want = np.dtype(DTYPE).newbyteorder("<").str
+        layout = {f"{prefix}_opt/step_count": ("<f8", (1,)) for prefix in nets}
         for prefix, params in nets.items():
-            _, count = entries.get(f"{prefix}_opt/step_count", (None, ()))
-            if not count or count[0] < 1:
-                raise ValueError(f"{prefix}_opt/step_count is missing or empty")
             for name, (shape, _) in params.layout(model_cfg).items():
-                if f"{prefix}/{name}" not in entries:
-                    raise ValueError(f"{prefix}/{name} is missing")
-                # a missing moment is allowed: Adam starts it at zero
-                for key in (f"{prefix}/{name}", f"{prefix}_opt/m/{name}",
-                            f"{prefix}_opt/v/{name}"):
-                    dtype, got = entries.get(key, (want, shape))
-                    if (dtype, got) != (want, shape):
-                        raise ValueError(f"{key} is {np.dtype(dtype)} {got}, "
-                                         f"the model needs {np.dtype(DTYPE)} {shape}")
+                for part in (f"{prefix}/", f"{prefix}_opt/m/", f"{prefix}_opt/v/"):
+                    layout[part + name] = (want, shape)
+        if entries != layout:
+            key = min(k for k in layout.keys() | entries.keys() if entries.get(k) != layout.get(k))
+            got, need = (f"{np.dtype(e[0])} {e[1]}" if e else "none"
+                         for e in (entries.get(key), layout.get(key)))
+            raise CheckpointError(f"checkpoint {path}: {key}: file has {got}, "
+                                  f"the model needs {need}")
         gen, disc = (params.from_arrays(model_cfg, _under(f"{prefix}/", tensors))
                      if f"{prefix}/" in prefixes else None
                      for prefix, params in nets.items())

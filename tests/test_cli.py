@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,9 @@ import pytest
 from voiceanalogy import cli, container, corpus as C, cqt as Q
 from voiceanalogy.cli import (ConfigError, main, parse_config, write_pgm)
 from voiceanalogy.corpus import CORPUS_MAGIC, CORPUS_VERSION, Utterance, wav_write
-from voiceanalogy.training import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CheckpointError, resume
+from voiceanalogy.model import ModelConfig
+from voiceanalogy.training import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CheckpointError,
+                                   TrainConfig, resume)
 
 
 @pytest.fixture
@@ -87,6 +90,22 @@ class TestConfig:
         p.write_text("version=1\nnot a pair\n")
         with pytest.raises(ConfigError):
             parse_config(p)
+
+    def test_configuration_surface_is_pinned(self):
+        # every setting there is: adding or removing one is an edit here
+        assert [f.name for f in fields(Q.CqtConfig)] == [
+            "sample_rate", "f_min", "bins_per_octave", "n_bins", "hop", "q_scale"]
+        assert [f.name for f in fields(ModelConfig)] == [
+            "bins", "frames", "channels", "latent", "n_words", "n_speakers", "transform"]
+        assert [f.name for f in fields(TrainConfig)] == [
+            "batch_size", "steps", "disc_steps_per_gen_step", "lambda_adv", "learning_rate",
+            "beta1", "beta2", "epsilon", "seed", "checkpoint_interval", "log_interval"]
+        assert list(cli.CONFIG_DEFAULTS) == [
+            "version", "sample_rate", "f_min", "bins_per_octave", "n_bins", "hop", "q_scale",
+            "n_speakers", "n_words", "variants_per_cell", "corpus_seed", "batch_size", "steps",
+            "disc_steps_per_gen_step", "lambda_adv", "learning_rate", "beta1", "beta2",
+            "epsilon", "train_seed", "checkpoint_interval", "log_interval", "transform",
+            "griffin_lim_iters", "phase_seed"]
 
 
 class TestPgm:
@@ -217,9 +236,10 @@ class TestCommands:
         assert not out.exists()
 
     def test_diverging_train_exits_2_with_one_line(self, tiny_cfg, tmp_path, capsys):
-        # a finite weight this large overflows the float32 adversarial gradient
+        # a finite weight this large overflows the float32 adversarial gradient;
+        # with no checkpoint after step 1, step 2's loss check reports it
         cfg = tmp_path / "diverge.cfg"
-        cfg.write_text(tiny_cfg.read_text() + "lambda_adv = 1e308\n")
+        cfg.write_text(tiny_cfg.read_text() + "lambda_adv = 1e308\ncheckpoint_interval = 2\n")
         out = tmp_path / "o"
         assert main(["--config", str(cfg), "--out", str(out), "gen-data"]) == 0
         capsys.readouterr()
@@ -232,6 +252,27 @@ class TestCommands:
         assert re.fullmatch(r"error: \w+_loss is (nan|-?inf) at step \d+\n",
                             one_line_error(capsys))
         assert not (out / "final_checkpoint.bin").exists()
+
+    @pytest.mark.parametrize("setting, array", [
+        ("lambda_adv = 1e308\nsteps = 1", r"gen/\w+"),
+        ("lambda_adv = 1e30\nsteps = 3", r"gen_opt/v/\w+")])
+    def test_non_finite_checkpoint_is_not_written(self, tiny_cfg, tmp_path, capsys, setting,
+                                                  array):
+        # every loss a step reports is finite, but the step leaves NaN weights
+        # (1e308) or an Adam second moment overflowed to inf (1e30)
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(tiny_cfg.read_text() + setting + "\n")
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "--out", str(out), "gen-data"]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--config", str(cfg), "--out", str(out), "train",
+                         str(out / "corpus.bin")])
+        assert code == 2
+        assert re.fullmatch(rf"error: {array} is not finite at step \d+\n",
+                            one_line_error(capsys))
+        assert [p.name for p in out.glob("*.bin*")] == ["corpus.bin"]
 
     def test_train_writes_same_bytes_with_one_or_two_blas_threads(self, tmp_path):
         # the thread count is read when BLAS loads, so each run is its own process
@@ -311,19 +352,28 @@ class TestCommands:
         corpus_path, ckpt = gen_and_train(tiny_cfg, out)
         meta, arrays = container.unpack(ckpt.read_bytes(), CHECKPOINT_MAGIC,
                                         CHECKPOINT_VERSION, ValueError, "checkpoint")
-        old = out / "v2.bin"   # as version 2 wrote it: every array float64
-        old.write_bytes(container.pack(CHECKPOINT_MAGIC, 2, meta,
-                                       {name: arr.astype(np.float64)
-                                        for name, arr in arrays.items()}))
-        for command in (["convert", str(old), str(corpus_path), *triple_wavs(out),
-                         str(out / "d.wav")],
-                        ["eval", str(old), str(corpus_path)]):
-            capsys.readouterr()
-            assert main(["--config", str(tiny_cfg), "--out", str(out), *command]) == 2
-            assert "v2.bin: unsupported version 2, expected 3" in one_line_error(capsys)
-        assert not (out / "d.wav").exists()
-        with pytest.raises(CheckpointError, match="unsupported version 2, expected 3"):
-            resume(C.load_corpus(corpus_path), old)
+        # as version 2 wrote it: every array float64; as version 3 wrote it:
+        # float32 arrays under the fixed geometry and a second transform
+        v3_meta = {**meta, "train": {**meta["train"], "transform": "additive"},
+                   "model": {**meta["model"], "kernel": 3, "stride": 2, "padding": 1,
+                             "leaky_alpha": 0.2}}
+        olds = {2: container.pack(CHECKPOINT_MAGIC, 2, meta,
+                                  {name: arr.astype(np.float64)
+                                   for name, arr in arrays.items()}),
+                3: container.pack(CHECKPOINT_MAGIC, 3, v3_meta, arrays)}
+        for version, blob in olds.items():
+            old = out / f"v{version}.bin"
+            old.write_bytes(blob)
+            message = f"v{version}.bin: unsupported version {version}, expected 4"
+            for command in (["convert", str(old), str(corpus_path), *triple_wavs(out),
+                             str(out / "d.wav")],
+                            ["eval", str(old), str(corpus_path)]):
+                capsys.readouterr()
+                assert main(["--config", str(tiny_cfg), "--out", str(out), *command]) == 2
+                assert message in one_line_error(capsys)
+            assert not (out / "d.wav").exists()
+            with pytest.raises(CheckpointError, match=message):
+                resume(C.load_corpus(corpus_path), old)
 
     def test_convert_and_eval_read_no_optimizer_state(self, tiny_cfg, tmp_path, monkeypatch):
         out = tmp_path / "run"
@@ -370,20 +420,28 @@ class TestCommands:
             assert names == sorted(name for name in arrays if name.startswith(wanted))
             assert n_bytes == header_end + sum(arrays[name].nbytes for name in names)
 
-    def test_eval_checkpoint_with_bad_leaky_alpha_exits_2(self, tiny_cfg, tmp_path, capsys):
+    @pytest.mark.parametrize("section, key, value", [("model", "stride", 2),
+                                                     ("train", "transform", "additive")])
+    def test_eval_checkpoint_with_a_retired_field_exits_2(self, tiny_cfg, tmp_path, capsys,
+                                                          section, key, value):
+        # the fixed geometry is model constants and the transform is stored
+        # once, in the model config; a version-4 file carries neither
         corpus_path, ckpt = gen_and_train(tiny_cfg, tmp_path / "run")
-        blob = ckpt.read_bytes()
-        assert blob.count(b'"leaky_alpha": 0.2') == 1
-        ckpt.write_bytes(blob.replace(b'"leaky_alpha": 0.2', b'"leaky_alpha": 1.5'))
+        meta, arrays = container.unpack(ckpt.read_bytes(), CHECKPOINT_MAGIC,
+                                        CHECKPOINT_VERSION, ValueError, "checkpoint")
+        assert key not in meta[section]
+        meta[section][key] = value
+        ckpt.write_bytes(container.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, meta, arrays))
         capsys.readouterr()
         code = main(["--config", str(tiny_cfg), "--out", str(tmp_path / "run"), "eval",
                      str(ckpt), str(corpus_path)])
         assert code == 2
-        assert "leaky_alpha must be in [0, 1]" in one_line_error(capsys)
+        assert (f"malformed metadata: {section.capitalize()}Config.__init__() got an "
+                f"unexpected keyword argument '{key}'") in one_line_error(capsys)
 
     @pytest.mark.parametrize("section, key, value", [("train", "batch_size", 4.0),
                                                      ("train", "steps", 2.5),
-                                                     ("model", "leaky_alpha", True)])
+                                                     ("model", "latent", True)])
     def test_eval_checkpoint_with_wrongly_typed_value_exits_2(self, tiny_cfg, tmp_path,
                                                               capsys, section, key, value):
         corpus_path, ckpt = gen_and_train(tiny_cfg, tmp_path / "run")

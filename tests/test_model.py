@@ -45,17 +45,10 @@ class TestConfig:
             ModelConfig(transform="affine")
 
     @pytest.mark.parametrize("field, value, name", [
-        ("latent", -4, "latent"), ("kernel", 0, "kernel"), ("stride", 0, "stride"),
-        ("channels", (16, 0), r"channels\[1\]"), ("padding", -1, "padding"),
-        ("leaky_alpha", -0.1, "leaky_alpha"), ("leaky_alpha", 1.5, "leaky_alpha"),
-        ("leaky_alpha", np.nan, "leaky_alpha")])
+        ("latent", -4, "latent"), ("channels", (16, 0), r"channels\[1\]")])
     def test_bad_size_names_the_field(self, field, value, name):
         with pytest.raises(ValueError, match=name):
             ModelConfig(**{field: value})
-
-    @pytest.mark.parametrize("alpha", [0.0, 1.0])
-    def test_leaky_alpha_interval_closed(self, alpha):
-        assert ModelConfig(leaky_alpha=alpha).leaky_alpha == alpha
 
 
 class TestEncodeDecode:

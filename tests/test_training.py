@@ -30,8 +30,7 @@ def tiny_trainer(corpus, **overrides):
                       seed=overrides.pop("seed", 0), log_interval=1,
                       checkpoint_interval=overrides.pop("checkpoint_interval", 100),
                       **overrides)
-    mcfg = ModelConfig(n_words=corpus.n_words, n_speakers=corpus.n_speakers,
-                       transform=cfg.transform, **TINY_MODEL)
+    mcfg = ModelConfig(n_words=corpus.n_words, n_speakers=corpus.n_speakers, **TINY_MODEL)
     return Trainer(corpus, cfg, mcfg), cfg, mcfg
 
 
