@@ -9,7 +9,7 @@ header and that the listed array sizes sum to the file's size, then seeks
 to each array the caller asks for and reads it into one fresh writeable
 buffer, at an offset that is a multiple of 8 so that every array is
 aligned, skipping the rest. It raises the caller's error class on
-any malformed input.
+any malformed input, and `check_entries` on any entry set but the caller's.
 """
 
 import io
@@ -107,6 +107,16 @@ def read(f, magic, version, error, what, prefixes=("",)):
             at += room
         end += nbytes
     return meta, {name: (dtype, shape) for name, dtype, shape in entries}, arrays
+
+
+def check_entries(entries, layout, error, what, needer):
+    """Raise `error` unless the file's `entries` are exactly the {name: (dtype,
+    shape)} `layout` that `needer` needs, naming the first name that differs."""
+    if entries != layout:
+        key = min(k for k in layout.keys() | entries.keys() if entries.get(k) != layout.get(k))
+        got, need = (f"{np.dtype(e[0])} {e[1]}" if e else "none"
+                     for e in (entries.get(key), layout.get(key)))
+        raise error(f"{what}: {key}: file has {got}, {needer} needs {need}")
 
 
 def unpack(blob, magic, version, error, what):

@@ -13,12 +13,13 @@ import numpy as np
 
 from . import container
 from .cqt import CqtConfig, Spectrogram, compress, design_filterbank, forward_cqt, n_frames
+from .typecheck import check_field_types, from_metadata
 
 UTTERANCE_SECONDS = 0.5
 SPEAKER_F0_RANGE = (130.0, 260.0)  # Hz, lowest and highest speaker fundamental
 MAX_SYNTH_FREQ = 1600.0  # keep partials inside the default CQT range
 CORPUS_MAGIC = b"AVCORP\x00"
-CORPUS_VERSION = 2
+CORPUS_VERSION = 3
 
 
 class CorpusConfigError(ValueError):
@@ -226,6 +227,13 @@ class Corpus(CorpusHeader):
         return self.spectrograms[self.index(speaker_id, word_id, variant)]
 
 
+def _utterances(header):
+    """(speaker, word, variant seed) of each utterance, in corpus order."""
+    return [(s, w, header.seed * 1_000_003 + s.id * 10_007 + w.id * 101 + v)
+            for s in header.speakers for w in header.words
+            for v in range(header.variants_per_cell)]
+
+
 def build_corpus(n_speakers, n_words, variants_per_cell, seed, cqt_config=None):
     if n_speakers < 2 or n_words < 2 or variants_per_cell < 2:
         # one variant per cell leaves no training variants below holdout_start
@@ -234,21 +242,13 @@ def build_corpus(n_speakers, n_words, variants_per_cell, seed, cqt_config=None):
                                 f"and {variants_per_cell}")
     if cqt_config is None:
         cqt_config = CqtConfig()
-    speakers = make_speakers(n_speakers)
-    words = make_words(n_words, seed)
+    header = CorpusHeader(cqt_config, seed, variants_per_cell, make_speakers(n_speakers),
+                          make_words(n_words, seed))
     filterbank = design_filterbank(cqt_config)
-    utterances = []
-    spectrograms = []
-    for s in speakers:
-        for w in words:
-            for variant in range(variants_per_cell):
-                variant_seed = seed * 1_000_003 + s.id * 10_007 + w.id * 101 + variant
-                utt = synth_utterance(s, w, variant_seed, cqt_config.sample_rate)
-                utterances.append(utt)
-                spectrograms.append(compress(forward_cqt(utt.samples, filterbank),
-                                             cqt_config))
-    return Corpus(cqt_config, seed, variants_per_cell, speakers, words,
-                  utterances, spectrograms)
+    samples = [synth_utterance(s, w, v, cqt_config.sample_rate).samples
+               for s, w, v in _utterances(header)]
+    return _corpus(header, {"samples": samples, "spectrograms": [
+        compress(forward_cqt(x, filterbank), cqt_config).values for x in samples]})
 
 
 def sample_quadruple(corpus, rng, holdout=False):
@@ -350,9 +350,7 @@ def corpus_to_bytes(corpus):
             "variants_per_cell": corpus.variants_per_cell,
             "speakers": [asdict(s) for s in corpus.speakers],
             "words": [asdict(w) for w in corpus.words]}
-    ids = [(u.speaker_id, u.word_id, u.variant_seed) for u in corpus.utterances]
     return container.pack(CORPUS_MAGIC, CORPUS_VERSION, meta, {
-        "ids": np.array(ids, dtype=np.int64),
         "samples": [u.samples for u in corpus.utterances],
         "spectrograms": [s.values for s in corpus.spectrograms]})
 
@@ -364,29 +362,29 @@ def _read(f, prefixes):
     meta, entries, arrays = container.read(f, CORPUS_MAGIC, CORPUS_VERSION,
                                            CorpusConfigError, "corpus", prefixes)
     try:
-        cfg = CqtConfig(**meta["cqt"])
-        speakers = [SpeakerProfile(**s) for s in meta["speakers"]]
-        words = [WordProfile(w["id"], w["name"], tuple(map(tuple, w["formants"])),
-                             tuple(map(tuple, w["envelope"]))) for w in meta["words"]]
-        variants = meta["variants_per_cell"]
-        (ids, ids_shape), (samples, samples_shape), (specs, specs_shape) = (
-            entries[name] for name in ("ids", "samples", "spectrograms"))
-        header = CorpusHeader(cfg, meta["seed"], variants, speakers, words)
-        n = len(speakers) * len(words) * variants
-        if (variants < 2 or ids_shape != (n, 3)
-                or samples_shape != (n, clip_samples(cfg.sample_rate))
-                or specs_shape != (n, cfg.n_bins, header.frames)
-                or [ids, samples, specs] != ["<i8", "<f8", "<f8"]):
-            raise ValueError("array shapes do not match the metadata")
-        return header, arrays
+        cfg = from_metadata(CqtConfig, meta["cqt"], "cqt")
+        speakers = [from_metadata(SpeakerProfile, s, f"speakers[{i}]")
+                    for i, s in enumerate(meta["speakers"])]
+        words = [from_metadata(WordProfile, w, f"words[{i}]") for i, w in enumerate(meta["words"])]
+        header = CorpusHeader(cfg, meta["seed"], meta["variants_per_cell"], speakers, words)
+        check_field_types(header)
+        if header.variants_per_cell < 2:
+            raise ValueError(f"variants_per_cell must be >= 2, got {header.variants_per_cell}")
+        if [p.id for p in speakers + words] != [*range(len(speakers)), *range(len(words))]:
+            raise ValueError("speaker and word ids must count up from 0")
+        n = len(speakers) * len(words) * header.variants_per_cell
+        layout = {"samples": ("<f8", (n, clip_samples(cfg.sample_rate))),
+                  "spectrograms": ("<f8", (n, cfg.n_bins, header.frames))}
     except container.MALFORMED as exc:
         raise CorpusConfigError(f"corpus: malformed metadata: {exc}") from None
+    container.check_entries(entries, layout, CorpusConfigError, "corpus", "the header")
+    return header, arrays
 
 
 def _corpus(header, arrays):
     cfg = header.cqt_config
-    utterances = [Utterance(s, w, x, cfg.sample_rate, v)
-                  for (s, w, v), x in zip(arrays["ids"].tolist(), arrays["samples"])]
+    utterances = [Utterance(s.id, w.id, x, cfg.sample_rate, v)
+                  for (s, w, v), x in zip(_utterances(header), arrays["samples"])]
     return Corpus(**vars(header), utterances=utterances,
                   spectrograms=[Spectrogram(v, cfg) for v in arrays["spectrograms"]])
 

@@ -29,6 +29,8 @@ SILENCE_THRESHOLD = 1e-6
 PEAK_FRACTION = 0.5
 # Extrapolation weight of fast Griffin-Lim; 0 gives the plain update.
 FGLA_ALPHA = 0.9
+# CGLS steps in each round of inverse_cqt's least-squares fit.
+CG_ITERATIONS = 3
 
 
 class CqtConfigError(ValueError):
@@ -275,15 +277,14 @@ def _lsq_synthesize(grid, filterbank, x0, ax0, cg_iterations):
     return x, ax
 
 
-def inverse_cqt(spec, filterbank, iterations, signal_length, seed=0, cg_iterations=3,
-                return_errors=False):
+def inverse_cqt(spec, filterbank, iterations, signal_length, seed=0, return_errors=False):
     """Iterative phase recovery from a magnitude spectrogram: fast
     Griffin-Lim (Perraudin, Balazs & Soendergaard 2013) on a CGLS inner solve.
 
     Each round fits audio to the current grid by least squares, takes the
     analysis of that audio, replaces its magnitudes by the targets, and
     extrapolates from the previous round's projection by FGLA_ALPHA. A round
-    costs cg_iterations forward and cg_iterations adjoint applies. Keeps the
+    costs CG_ITERATIONS forward and CG_ITERATIONS adjoint applies. Keeps the
     best iterate seen, so the reported error sequence is non-increasing by
     construction. `signal_length` is the length of the audio returned, which
     must analyse to the spectrogram's frame count.
@@ -317,7 +318,7 @@ def inverse_cqt(spec, filterbank, iterations, signal_length, seed=0, cg_iteratio
     best_error = np.inf
     errors = []
     for _ in range(iterations):
-        audio, analysis = _lsq_synthesize(grid, filterbank, audio, analysis, cg_iterations)
+        audio, analysis = _lsq_synthesize(grid, filterbank, audio, analysis, CG_ITERATIONS)
         mags = np.abs(analysis)
         err = np.linalg.norm(mags - target) / target_norm
         if err < best_error:

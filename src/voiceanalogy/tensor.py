@@ -7,9 +7,11 @@ gradient as expected.
 
 A tensor keeps a float32 or float64 array as it is (anything else becomes
 float64), and each op computes in, and hands back gradients in, the dtype
-of its inputs; float32 meeting float64 computes in float64. The losses
-reduce in float64 and return a float64 scalar, and `gradient_check`
-differentiates in float64 whatever the parameters' dtype.
+of its inputs; float32 meeting float64 computes in float64, and backward
+raises GraphError if that hands a float64 gradient to a tracked float32
+input. The losses reduce in float64, return a float64 scalar and hand back
+their input's dtype, and `gradient_check` differentiates in float64
+whatever the checked parameters' dtype.
 """
 
 import numpy as np
@@ -77,6 +79,10 @@ class Tensor:
         return Tensor(self.data)
 
     def _accumulate(self, g):
+        # a vjp that promoted would do its work in the wider dtype, and a
+        # cast here would hide that from every .grad
+        if g.dtype != self.data.dtype:
+            raise GraphError(f"a {g.dtype} gradient for a {self.data.dtype} tensor")
         if self.grad is None:
             # a fresh array in this tensor's shape, never `g` itself (the vjp
             # of add hands one array to both parents); adding 0.0 turns a
@@ -512,8 +518,9 @@ def gradient_check(build_loss, named_params, step=1e-5, max_coords_per_tensor=No
     `build_loss` rebuilds the scalar loss from the current parameter
     values. Returns the max relative error over checked coordinates.
     Each checked parameter computes on a float64 copy of its values, so the
-    check runs in float64 whatever the parameters' dtype; the original
-    array objects are put back, unchanged, at the end.
+    check runs in float64 whatever the parameters' dtype (any other tracked
+    tensor in the loss must be float64 too); the original array objects are
+    put back, unchanged, at the end.
     """
     originals = {name: p.data for name, p in named_params.items()}
     try:

@@ -20,11 +20,13 @@ from .model import (DTYPE, STRIDE, DiscriminatorParams, GeneratorParams, ModelCo
                     discriminator_forward, discriminator_loss, generator_forward,
                     generator_total_loss, spec_batch)
 from .tensor import Adam, Tensor
-from .typecheck import check_field_types
+from .typecheck import check_field_types, from_metadata
 
 CHECKPOINT_MAGIC = b"AVCKPT\x00"
 # version 4: float32 networks and Adam moments, configs without the fixed geometry
 CHECKPOINT_VERSION = 4
+# a checkpoint's networks, by the prefix of their array names
+NETWORKS = {"gen": GeneratorParams, "disc": DiscriminatorParams}
 
 METRICS_FIELDS = ("step", "analogy_loss", "disc_loss", "gen_adv_loss",
                   "disc_real_accuracy", "disc_fake_detection_rate")
@@ -275,8 +277,16 @@ def _run(trainer, steps, metrics_path, checkpoint_dir, progress):
 # ---- checkpoint serialization ----
 
 def save_checkpoint(trainer, path):
-    """Write `trainer` to `path`, or raise TrainingDivergedError if an array is not finite."""
+    """Write `trainer` to `path` and return the bytes written. Raises
+    CheckpointError if the arrays are not the ones every reader requires (a
+    trainer that has taken no step has no Adam moments yet), and
+    TrainingDivergedError if an array is not finite; either way before any
+    file is made."""
     arrays = trainer.named_tensors()
+    container.check_entries({name: (arr.dtype.newbyteorder("<").str, arr.shape)
+                             for name, arr in arrays.items()},
+                            checkpoint_layout(trainer.model_config), CheckpointError,
+                            f"checkpoint {path}", "the model")
     for name, arr in arrays.items():
         if not np.isfinite(arr).all():
             raise TrainingDivergedError(f"{name} is not finite at step {trainer.step}")
@@ -308,8 +318,8 @@ def read_checkpoint(path, corpus, prefixes):
                                                 CheckpointError, f"checkpoint {path}",
                                                 prefixes)
     try:
-        train_cfg = TrainConfig(**meta["train"])
-        model_cfg = ModelConfig(**{**meta["model"], "channels": tuple(meta["model"]["channels"])})
+        train_cfg = from_metadata(TrainConfig, meta["train"], "train")
+        model_cfg = from_metadata(ModelConfig, meta["model"], "model")
         wanted = corpus_fields(corpus)
         model_shape = tuple(getattr(model_cfg, name) for name in wanted)
         corpus_shape = tuple(wanted.values())
@@ -320,22 +330,11 @@ def read_checkpoint(path, corpus, prefixes):
         step = meta["step"]
         if type(step) is not int or step < 0:
             raise ValueError(f"step must be a non-negative integer, got {step!r}")
-        nets = {"gen": GeneratorParams, "disc": DiscriminatorParams}
-        want = np.dtype(DTYPE).newbyteorder("<").str
-        layout = {f"{prefix}_opt/step_count": ("<f8", (1,)) for prefix in nets}
-        for prefix, params in nets.items():
-            for name, (shape, _) in params.layout(model_cfg).items():
-                for part in (f"{prefix}/", f"{prefix}_opt/m/", f"{prefix}_opt/v/"):
-                    layout[part + name] = (want, shape)
-        if entries != layout:
-            key = min(k for k in layout.keys() | entries.keys() if entries.get(k) != layout.get(k))
-            got, need = (f"{np.dtype(e[0])} {e[1]}" if e else "none"
-                         for e in (entries.get(key), layout.get(key)))
-            raise CheckpointError(f"checkpoint {path}: {key}: file has {got}, "
-                                  f"the model needs {need}")
+        container.check_entries(entries, checkpoint_layout(model_cfg), CheckpointError,
+                                f"checkpoint {path}", "the model")
         gen, disc = (params.from_arrays(model_cfg, _under(f"{prefix}/", tensors))
                      if f"{prefix}/" in prefixes else None
-                     for prefix, params in nets.items())
+                     for prefix, params in NETWORKS.items())
         trainer = object.__new__(Trainer)
         trainer._assemble(corpus, train_cfg, model_cfg, gen, disc)
         trainer.step = step
@@ -346,6 +345,18 @@ def read_checkpoint(path, corpus, prefixes):
     except container.MALFORMED as exc:
         raise CheckpointError(f"checkpoint {path}: malformed metadata: {exc}") from None
     return trainer
+
+
+def checkpoint_layout(model_cfg):
+    """The {name: (dtype, shape)} of each array in a checkpoint of `model_cfg`:
+    each network's parameters, their two Adam moments and the step counts."""
+    want = np.dtype(DTYPE).newbyteorder("<").str
+    layout = {f"{prefix}_opt/step_count": ("<f8", (1,)) for prefix in NETWORKS}
+    for prefix, params in NETWORKS.items():
+        for name, (shape, _) in params.layout(model_cfg).items():
+            for part in (f"{prefix}/", f"{prefix}_opt/m/", f"{prefix}_opt/v/"):
+                layout[part + name] = (want, shape)
+    return layout
 
 
 def _under(prefix, tensors):

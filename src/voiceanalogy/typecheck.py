@@ -1,5 +1,6 @@
 """Field-type check shared by the frozen config dataclasses (CqtConfig,
-ModelConfig, TrainConfig), whose values may come from file headers."""
+ModelConfig, TrainConfig), whose values may come from file headers, and
+the one way to build a dataclass from such a header's metadata."""
 
 import numbers
 from dataclasses import fields
@@ -24,3 +25,18 @@ def check_field_types(config, error=ValueError):
             if isinstance(v, bool) or not ok:
                 name = f.name if i is None else f"{f.name}[{i}]"
                 raise error(f"{name} must be {wanted}, got {v!r}")
+
+
+def from_metadata(cls, meta, section):
+    """The dataclass `cls` built from the metadata mapping `meta`, which must
+    hold exactly its fields; a tuple field's list, and each list in it,
+    becomes a tuple. Raises ValueError naming `section.key` for a key that
+    is not a field or a field that has no key."""
+    if not isinstance(meta, dict):
+        raise ValueError(f"{section} must be a mapping, got {meta!r}")
+    names = {f.name for f in fields(cls)}
+    if meta.keys() != names:
+        key = min(meta.keys() ^ names)
+        raise ValueError(f"{section}.{key}: {'unknown' if key in meta else 'missing'} key")
+    return cls(**{f.name: tuple(tuple(v) if isinstance(v, list) else v for v in meta[f.name])
+                  if f.type is tuple else meta[f.name] for f in fields(cls)})

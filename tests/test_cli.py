@@ -436,8 +436,26 @@ class TestCommands:
         code = main(["--config", str(tiny_cfg), "--out", str(tmp_path / "run"), "eval",
                      str(ckpt), str(corpus_path)])
         assert code == 2
-        assert (f"malformed metadata: {section.capitalize()}Config.__init__() got an "
-                f"unexpected keyword argument '{key}'") in one_line_error(capsys)
+        assert one_line_error(capsys) == (f"error: checkpoint {ckpt}: malformed metadata: "
+                                          f"{section}.{key}: unknown key\n")
+
+    @pytest.mark.parametrize("section, key", [("train", "lambda_adv"), ("model", "latent")])
+    def test_checkpoint_missing_a_key_exits_2(self, tiny_cfg, tmp_path, capsys, section, key):
+        # a missing key is refused, not filled in with its default
+        out = tmp_path / "run"
+        corpus_path, ckpt = gen_and_train(tiny_cfg, out)
+        meta, arrays = container.unpack(ckpt.read_bytes(), CHECKPOINT_MAGIC,
+                                        CHECKPOINT_VERSION, ValueError, "checkpoint")
+        del meta[section][key]
+        ckpt.write_bytes(container.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, meta, arrays))
+        for command in (["eval", str(ckpt), str(corpus_path)],
+                        ["convert", str(ckpt), str(corpus_path), *triple_wavs(out),
+                         str(out / "d.wav")]):
+            capsys.readouterr()
+            assert main(["--config", str(tiny_cfg), "--out", str(out), *command]) == 2
+            assert one_line_error(capsys) == (f"error: checkpoint {ckpt}: malformed metadata: "
+                                              f"{section}.{key}: missing key\n")
+        assert not (out / "d.wav").exists()
 
     @pytest.mark.parametrize("section, key, value", [("train", "batch_size", 4.0),
                                                      ("train", "steps", 2.5),
@@ -474,6 +492,39 @@ class TestCommands:
             assert main(["--config", str(tiny_cfg), "--out", str(out), *command]) == 2
             assert (f"corpus: malformed metadata: {key} must be an integer, got {value!r}"
                     in one_line_error(capsys))
+        assert not (out / "d.wav").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        ("spectrograms", "spectrograms: file has float64 (12, 32, 8), the header needs "
+                         "float64 (12, 16, 16)"),
+        ("-samples", "samples: file has none, the header needs float64 (12, 4000)"),
+        ("+bogus", "bogus: file has float64 (3,), the header needs none"),
+        ("cqt.+gamma", "malformed metadata: cqt.gamma: unknown key"),
+        ("cqt.-f_min", "malformed metadata: cqt.f_min: missing key")],
+        ids=["spectrograms", "-samples", "+bogus", "cqt.+gamma", "cqt.-f_min"])
+    def test_corpus_with_a_wrong_entry_or_key_exits_2(self, tiny_cfg, tmp_path, capsys, edit,
+                                                      message):
+        # an array is reshaped, or an array or a cqt key is dropped (-) or added (+)
+        out = tmp_path / "run"
+        corpus_path, ckpt = gen_and_train(tiny_cfg, out)
+        meta, arrays = container.unpack(corpus_path.read_bytes(), CORPUS_MAGIC,
+                                        CORPUS_VERSION, ValueError, "corpus")
+        section, _, name = edit.rpartition(".")
+        target = meta[section] if section else arrays
+        if name.startswith("-"):
+            del target[name[1:]]
+        elif name.startswith("+"):
+            target[name[1:]] = np.zeros(3) if target is arrays else 1.0
+        else:
+            target[name] = target[name].reshape(12, 32, 8)
+        corpus_path.write_bytes(container.pack(CORPUS_MAGIC, CORPUS_VERSION, meta, arrays))
+        for command in (["eval", str(ckpt), str(corpus_path)],
+                        ["convert", str(ckpt), str(corpus_path), *triple_wavs(out),
+                         str(out / "d.wav")],
+                        ["train", str(corpus_path)]):
+            capsys.readouterr()
+            assert main(["--config", str(tiny_cfg), "--out", str(out), *command]) == 2
+            assert one_line_error(capsys) == f"error: corpus: {message}\n"
         assert not (out / "d.wav").exists()
 
     def test_eval_twice_writes_identical_report(self, tiny_cfg, tmp_path):

@@ -23,6 +23,8 @@ from voiceanalogy.training import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, Checkpo
                                    save_checkpoint)
 
 FUZZ = settings(max_examples=150, deadline=None, database=None)
+# the message of a corpus array whose entry the header does not give
+HEADER_NEEDS = r"corpus: (samples|spectrograms): file has float64 .*, the header needs float64 "
 # the arrays `convert` and `eval` read from a checkpoint
 INFERENCE_PREFIXES = {"convert": ("gen/",), "eval": ("gen/", "disc/")}
 
@@ -177,9 +179,13 @@ def test_corpus_arrays_must_have_the_clip_length_and_frame_count(corpus_blob):
     # the model's input width is derived from the header, so the arrays must agree
     meta, arrays = container.unpack(corpus_blob, CORPUS_MAGIC, CORPUS_VERSION, ValueError,
                                     "corpus")
-    for key, value in (("hop", 128), ("sample_rate", 16000)):
+    for key, value, message in (
+            ("hop", 128, "spectrograms: file has float64 (8, 16, 16), the header needs "
+                         "float64 (8, 16, 32)"),
+            ("sample_rate", 16000, "samples: file has float64 (8, 4000), the header needs "
+                                   "float64 (8, 8000)")):
         edited = dict(meta, cqt={**meta["cqt"], key: value})
-        with pytest.raises(CorpusConfigError, match="array shapes do not match"):
+        with pytest.raises(CorpusConfigError, match=re.escape(f"corpus: {message}")):
             corpus_from_bytes(container.pack(CORPUS_MAGIC, CORPUS_VERSION, edited, arrays))
 
 
@@ -203,7 +209,7 @@ def test_version_1_checkpoint_rejected(corpus, checkpoint):
                                       (b'"n_bins": 16', b'"n_bins": 12')])
 def test_corpus_metadata_disagreeing_with_arrays_rejected(corpus_blob, old, new):
     assert corpus_blob.count(old) == 1
-    with pytest.raises(CorpusConfigError, match="array shapes"):
+    with pytest.raises(CorpusConfigError, match=HEADER_NEEDS):
         corpus_from_bytes(corpus_blob.replace(old, new))
 
 
@@ -213,8 +219,78 @@ def test_corpus_header_disagreeing_with_array_entries_rejected(corpus_blob, tmp_
                                                                new):
     path = tmp_path / "corpus.bin"
     path.write_bytes(corpus_blob.replace(old, new))
-    with pytest.raises(CorpusConfigError, match="array shapes"):
+    with pytest.raises(CorpusConfigError, match=HEADER_NEEDS):
         load_corpus_header(path)
+
+
+@pytest.mark.parametrize("read", [load_corpus, load_corpus_header])
+@pytest.mark.parametrize("name", ["spectrograms", "-samples", "+bogus", "+ids"])
+def test_wrong_corpus_entry_rejected_read_or_not(corpus_blob, tmp_path, read, name):
+    # a name is reshaped, or dropped (-name), or added (+name); the ids of
+    # version 2 follow from the header, so a file holding them is refused
+    meta, arrays = container.unpack(corpus_blob, CORPUS_MAGIC, CORPUS_VERSION, ValueError,
+                                    "corpus")
+    key = name.lstrip("-+")
+    if name.startswith("-"):
+        del arrays[key]
+        message = f"{key}: file has none, the header needs float64 (8, 4000)"
+    elif name.startswith("+"):
+        arrays[key] = np.zeros((8, 3), np.int64)
+        message = f"{key}: file has int64 (8, 3), the header needs none"
+    else:
+        arrays[key] = arrays[key].reshape(8, 32, 8)
+        message = f"{key}: file has float64 (8, 32, 8), the header needs float64 (8, 16, 16)"
+    path = tmp_path / "corpus.bin"
+    path.write_bytes(container.pack(CORPUS_MAGIC, CORPUS_VERSION, meta, arrays))
+    with pytest.raises(CorpusConfigError, match=re.escape(f"corpus: {message}")):
+        read(path)
+
+
+@pytest.mark.parametrize("kind, path", [
+    ("corpus", ("cqt", "+gamma")), ("corpus", ("cqt", "-f_min")),
+    ("corpus", ("speakers", 1, "+pitch")), ("corpus", ("speakers", 0, "-f0")),
+    ("corpus", ("words", 1, "+vowel")), ("corpus", ("words", 0, "-envelope")),
+    ("checkpoint", ("train", "+stride")), ("checkpoint", ("train", "-lambda_adv")),
+    ("checkpoint", ("model", "+kernel")), ("checkpoint", ("model", "-latent"))],
+    ids=lambda value: ".".join(map(str, value)) if isinstance(value, tuple) else value)
+def test_metadata_with_an_unknown_or_missing_key_rejected(corpus, corpus_blob, checkpoint,
+                                                          kind, path):
+    # a key is added (+key) or dropped (-key): a section holds exactly its
+    # dataclass's fields, and no field falls back to its default
+    magic, version, error, blob = (
+        (CORPUS_MAGIC, CORPUS_VERSION, CorpusConfigError, corpus_blob) if kind == "corpus"
+        else (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CheckpointError, checkpoint[1]))
+    meta, arrays = container.unpack(blob, magic, version, ValueError, kind)
+    section = meta
+    for key in path[:-1]:
+        section = section[key]
+    key = path[-1][1:]
+    if path[-1].startswith("+"):
+        section[key] = 1
+        message = f"{key}: unknown key"
+    else:
+        del section[key]
+        message = f"{key}: missing key"
+    name = path[0] + "".join(f"[{i}]" for i in path[1:-1])
+    edited = container.pack(magic, version, meta, arrays)
+    with pytest.raises(error, match=re.escape(f"malformed metadata: {name}.{message}")):
+        if kind == "corpus":
+            corpus_from_bytes(edited)
+        else:
+            (checkpoint[0] / "edited.bin").write_bytes(edited)
+            load_checkpoint(checkpoint[0] / "edited.bin", corpus)
+
+
+def test_step_0_checkpoint_is_not_written(corpus, tmp_path):
+    # before its first step a trainer has no Adam moments, and every reader
+    # requires them
+    trainer = Trainer(corpus, TrainConfig(batch_size=4, steps=1),
+                      ModelConfig(bins=16, frames=16, channels=(4, 6), latent=8,
+                                  n_words=2, n_speakers=2))
+    with pytest.raises(CheckpointError, match=re.escape(
+            "disc_opt/m/conv1_b: file has none, the model needs float32 (4, 1, 1)")):
+        save_checkpoint(trainer, tmp_path / "step0.bin")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", [*INFERENCE_PREFIXES, "resume"])

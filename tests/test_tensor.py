@@ -382,8 +382,7 @@ class TestFloat32:
         assert Tensor(np.ones(2, np.float16)).data.dtype == np.float64
 
     def test_ops_and_gradients_keep_float32(self, monkeypatch):
-        # a node casts what it accumulates to its own dtype, so the vjps'
-        # outputs are recorded before the cast
+        # the vjps' outputs are recorded as they reach _accumulate
         handed = []
         accumulate = Tensor._accumulate
 
@@ -405,10 +404,20 @@ class TestFloat32:
         steps.append(steps[-1].sum())
         assert [s.data.dtype for s in steps] == [np.float32] * len(steps)
         loss = (T.mse_loss(steps[-2], np.zeros((16, 5), np.float32))
-                + T.softmax_cross_entropy(steps[-2], np.arange(16) % 5) + steps[-1])
+                + T.softmax_cross_entropy(steps[-2], np.arange(16) % 5))
         loss.backward()
+        steps[-1].backward()
         assert [p.grad.dtype for p in (x, w, b, m, *steps)] == [np.float32] * 9
         assert {dtype for dtype, size in handed if size > 1} == {np.dtype(np.float32)}
+
+    def test_a_gradient_of_another_dtype_raises(self):
+        # without the check, a vjp that promotes to float64 would do float64
+        # work while every .grad stayed float32
+        x = Tensor(np.ones((2, 3), np.float32), requires_grad=True)
+        promoted = x._unary(x.data * 2, lambda g: g.astype(np.float64) * 2)
+        for y in (promoted, x * Tensor(np.ones((2, 3)))):
+            with pytest.raises(GraphError, match="a float64 gradient for a float32 tensor"):
+                y.sum().backward()
 
     def test_losses_reduce_in_float64(self):
         rng = np.random.default_rng(4)
