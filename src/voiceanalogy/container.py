@@ -24,8 +24,9 @@ DTYPES = ("<f4", "<f8", "<i8")
 # widest item size in DTYPES; numpy's own buffer is aligned to at least this
 ALIGN = 8
 # what decoding a header, or building objects from its metadata, raises on
-# malformed values; each reader turns these into its typed error
-MALFORMED = (ArithmeticError, LookupError, TypeError, ValueError)
+# malformed values (json raises RecursionError on arrays nested too deep);
+# each reader turns these into its typed error
+MALFORMED = (ArithmeticError, LookupError, RecursionError, TypeError, ValueError)
 
 
 def pack(magic, version, meta, arrays):

@@ -209,16 +209,15 @@ def _forward(params, rows, h):
     for row in rows:
         w, b = params[f"{row.name}_w"], params[f"{row.name}_b"]
         if row.kind == "conv":
-            h = T.conv2d(h, w, STRIDE, PADDING)
+            h = T.conv2d(h, w, STRIDE, PADDING, b)
         elif row.kind == "fc":
-            h = (h if len(h.shape) == 2 else h.reshape(h.shape[0], row.inputs)) @ w
+            h = (h if len(h.shape) == 2 else h.reshape(h.shape[0], row.inputs)).matmul(w, b)
         else:
             if len(h.shape) == 2:
                 h = h.reshape(h.shape[0], row.inputs, *params.config.feature_hw)
             # a strided conv maps several sizes to h; its tconv gives back h * stride
             h = T.conv2d_transpose(h, w, STRIDE, PADDING,
-                                   out_hw=(h.shape[2] * STRIDE, h.shape[3] * STRIDE))
-        h = h + b
+                                   (h.shape[2] * STRIDE, h.shape[3] * STRIDE), b)
         h = h.leaky_relu(LEAKY_ALPHA) if row.activated else h
     return h
 

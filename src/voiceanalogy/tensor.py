@@ -49,6 +49,32 @@ def _unbroadcast(grad, shape):
     return grad
 
 
+def _check_broadcast(op_kind, a_shape, b_shape):
+    try:
+        result_shape = np.broadcast_shapes(a_shape, b_shape)
+    except ValueError:
+        result_shape = None
+    if result_shape != a_shape:
+        raise ShapeMismatchError(
+            f"{op_kind}: second operand {b_shape} does not broadcast to first operand {a_shape}")
+
+
+def _add_bias(y, parents, bias):
+    """(y + bias, parents + (bias,)) for an op's fresh result y, or (y, parents)
+    without a bias. The add is `h + b`'s, in place on y unless it promotes."""
+    if bias is None:
+        return y, parents
+    b = bias.data
+    _check_broadcast("bias", y.shape, b.shape)
+    return np.add(y, b, out=y if np.result_type(y, b) == y.dtype else None), parents + (bias,)
+
+
+def _bias_grad(bias, g):
+    """Hand a biased op's output gradient g to its bias, as `h + b` would."""
+    if bias is not None and bias._track:
+        bias._accumulate(_unbroadcast(g, bias.data.shape))
+
+
 # op -> (ufunc, vjp(g, a, b) -> (gradient for a, gradient for b))
 _ELEMENTWISE = {
     "add": (np.add, lambda g, a, b: (g, g)),
@@ -110,13 +136,7 @@ class Tensor:
         if not isinstance(other, Tensor):
             other = Tensor(np.full(1, float(other), self.data.dtype))
         a, b = self.data, other.data
-        try:
-            result_shape = np.broadcast_shapes(a.shape, b.shape)
-        except ValueError:
-            result_shape = None
-        if result_shape != a.shape:
-            raise ShapeMismatchError(
-                f"{op_kind}: second operand {b.shape} does not broadcast to first operand {a.shape}")
+        _check_broadcast(op_kind, a.shape, b.shape)
         if op_kind not in _ELEMENTWISE:
             raise ValueError(f"unknown elementwise op {op_kind!r}")
         ufunc, vjp = _ELEMENTWISE[op_kind]
@@ -162,13 +182,14 @@ class Tensor:
 
     # ---- matmul ----
 
-    def matmul(self, other):
+    def matmul(self, other, bias=None):
+        """self @ other, plus `bias` (a Tensor broadcast to the product) if given."""
         a, b = self.data, other.data
         if a.ndim != 2 or b.ndim != 2:
             raise ShapeMismatchError(f"matmul expects 2-D tensors, got {a.shape} and {b.shape}")
         if a.shape[1] != b.shape[0]:
             raise ShapeMismatchError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
-        data = a @ b
+        data, parents = _add_bias(a @ b, (self, other), bias)
 
         def backward(out):
             g = out.grad
@@ -176,8 +197,9 @@ class Tensor:
                 self._accumulate(g @ b.T)
             if other._track:
                 other._accumulate(a.T @ g)
+            _bias_grad(bias, g)
 
-        return Tensor._result(data, (self, other), backward)
+        return Tensor._result(data, parents, backward)
 
     def __matmul__(self, other):
         return self.matmul(other)
@@ -192,11 +214,12 @@ class Tensor:
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"leaky_relu alpha must be in [0, 1], got {alpha!r}")
         x = self.data
-        # for alpha in (0, 1], max(x, alpha*x) is where(x > 0, x, alpha*x)
-        # bit for bit, signed zeros, infinities and NaN included, in fewer
-        # passes; at alpha 0 it would turn +inf into max(inf, 0*inf) = nan
-        data = np.maximum(x, alpha * x) if alpha > 0 else np.where(x > 0, x, 0.0 * x)
-        return self._unary(data, lambda g: np.where(x > 0, g, alpha * g))
+        # slope 1 where x > 0, else alpha: x * slope is where(x > 0, x, alpha * x)
+        # bit for bit, signed zeros, infinities and NaN included, and one
+        # multiply is much cheaper than np.where in both directions
+        slope = (x > 0).astype(x.dtype)
+        np.maximum(slope, alpha, out=slope)
+        return self._unary(x * slope, lambda g: g * slope)
 
     def tanh(self):
         data = np.tanh(self.data)
@@ -285,14 +308,51 @@ def _im2col(x, kh, kw, stride, pad):
     return np.ascontiguousarray(cols), ho, wo
 
 
-def _col2im(cols, x_shape, kh, kw, stride, pad, ho, wo):
+# _col2im forms the tap products of this many elements' worth of samples at a
+# time, so they are still in cache when its adds read them
+_COL2IM_BLOCK = 1 << 18
+
+
+def _col2im(w2, g, x_shape, kh, kw, stride, pad):
+    """The adjoint of _im2col applied to the columns w2.T @ g, for g of shape
+    (n, c_out, ho, wo) and w2 of (c_out, c * kh * kw): x_shape's array in which
+    each element is 0 plus its taps' products, added in (i, j) order.
+
+    The padded output splits into stride x stride phases by row and column
+    index mod stride. Tap (i, j) adds to phase (i % stride, j % stride) the
+    products of g shifted by (i // stride, j // stride). With lw zero columns
+    ahead of each row of g, a shift is one flat offset, since a run past a
+    row's end reads the next row's zero columns, so each tap is one
+    contiguous add. Each phase is summed in a contiguous buffer and then
+    written to its rows and columns of the output.
+    """
     n, c, h, w = x_shape
-    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), cols.dtype)
-    cols = cols.reshape(n, c, kh, kw, ho, wo)
-    for i in range(kh):
-        for j in range(kw):
-            xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += cols[:, :, i, j]
-    return xp[:, :, pad:pad + h, pad:pad + w]
+    _, c_out, ho, wo = g.shape
+    s = stride
+    lw = (kw - 1) // s
+    # phase grid: every tap's reach, and at least the rows and columns the crop keeps
+    qh = max(ho + (kh - 1) // s, -(-(h + pad) // s))
+    qw = max(wo + lw, -(-(w + pad) // s))
+    block = min(n, max(1, _COL2IM_BLOCK // (c * kh * kw * ho * qw)))
+    dtype = np.result_type(w2, g)
+    xp = np.empty((n, c, qh, s, qw, s), dtype)
+    gp = np.zeros((block, c_out, ho, qw), g.dtype)
+    phase = np.empty((block, c, qh * qw), dtype)
+    for b0 in range(0, n, block):
+        m = min(block, n - b0)
+        gp[:m, :, :, lw:lw + wo] = g[b0:b0 + m]
+        taps = np.matmul(w2.T, gp[:m].reshape(m, c_out, ho * qw)).reshape(m, c, kh, kw, -1)
+        for r in range(s):
+            for r2 in range(s):
+                phase[:m].fill(0.0)
+                for i in range(r, kh, s):
+                    for j in range(r2, kw, s):
+                        # phase position p reads tap position p - off, and 0 outside the tap's rows
+                        off = (i // s) * qw + j // s - lw
+                        lo, hi = max(off, 0), min(qh * qw, ho * qw + off)
+                        phase[:m, :, lo:hi] += taps[:, :, i, j, lo - off:hi - off]
+                xp[b0:b0 + m, :, :, r, :, r2] = phase[:m].reshape(m, c, qh, qw)
+    return xp.reshape(n, c, s * qh, s * qw)[:, :, pad:pad + h, pad:pad + w]
 
 
 def _check_conv_shapes(x, w, stride, pad):
@@ -306,8 +366,9 @@ def _check_conv_shapes(x, w, stride, pad):
             f"conv2d: kernel {kh}x{kw} larger than padded input {h + 2 * pad}x{wd + 2 * pad}")
 
 
-def conv2d(x, w, stride=1, padding=0):
-    """Cross-correlation. x: (C,H,W) or (N,C,H,W); w: (C_out,C_in,kH,kW)."""
+def conv2d(x, w, stride=1, padding=0, bias=None):
+    """Cross-correlation, plus `bias` (a Tensor broadcast to the result) if
+    given. x: (C,H,W) or (N,C,H,W); w: (C_out,C_in,kH,kW)."""
     squeeze = x.data.ndim == 3
     xd = x.data[None] if squeeze else x.data
     wd = w.data
@@ -317,23 +378,25 @@ def conv2d(x, w, stride=1, padding=0):
     cols, ho, wo = _im2col(xd, kh, kw, stride, padding)
     w2 = wd.reshape(c_out, -1)
     y = np.matmul(w2, cols).reshape(n, c_out, ho, wo)
+    y, parents = _add_bias(y[0] if squeeze else y, (x, w), bias)
 
     def backward(out):
         g = out.grad
-        gy = (g[None] if squeeze else g).reshape(n, c_out, ho * wo)
+        gy = g[None] if squeeze else g
         if x._track:
-            gcols = np.matmul(w2.T, gy)
-            gx = _col2im(gcols, xd.shape, kh, kw, stride, padding, ho, wo)
+            gx = _col2im(w2, gy, xd.shape, kh, kw, stride, padding)
             x._accumulate(gx[0] if squeeze else gx)
         if w._track:
-            gw = np.matmul(gy, cols.transpose(0, 2, 1)).sum(axis=0)
+            gw = np.matmul(gy.reshape(n, c_out, ho * wo), cols.transpose(0, 2, 1)).sum(axis=0)
             w._accumulate(gw.reshape(wd.shape))
+        _bias_grad(bias, g)
 
-    return Tensor._result(y[0] if squeeze else y, (x, w), backward)
+    return Tensor._result(y, parents, backward)
 
 
-def conv2d_transpose(x, w, stride=1, padding=0, out_hw=None):
-    """Adjoint of conv2d with the same kernels/stride/padding.
+def conv2d_transpose(x, w, stride=1, padding=0, out_hw=None, bias=None):
+    """Adjoint of conv2d with the same kernels/stride/padding, plus `bias` (a
+    Tensor broadcast to the result) if given.
 
     x has conv2d's output channels; the result has conv2d's input channels.
     `out_hw` disambiguates the output size when stride > 1 (default takes
@@ -355,9 +418,8 @@ def conv2d_transpose(x, w, stride=1, padding=0, out_hw=None):
         raise ShapeMismatchError(
             f"conv2d_transpose: output size {out_hw} inconsistent with input {h}x{wid}")
     w2 = wd.reshape(c_out, -1)
-    xflat = xd.reshape(n, c_out, h * wid)
-    cols = np.matmul(w2.T, xflat)
-    y = _col2im(cols, (n, c_in, oh, ow), kh, kw, stride, padding, h, wid)
+    y = _col2im(w2, xd, (n, c_in, oh, ow), kh, kw, stride, padding)
+    y, parents = _add_bias(y[0] if squeeze else y, (x, w), bias)
 
     def backward(out):
         g = out.grad
@@ -367,10 +429,11 @@ def conv2d_transpose(x, w, stride=1, padding=0, out_hw=None):
             gx = np.matmul(w2, gcols).reshape(n, c_out, h, wid)
             x._accumulate(gx[0] if squeeze else gx)
         if w._track:
-            gw = np.matmul(xflat, gcols.transpose(0, 2, 1)).sum(axis=0)
+            gw = np.matmul(xd.reshape(n, c_out, h * wid), gcols.transpose(0, 2, 1)).sum(axis=0)
             w._accumulate(gw.reshape(wd.shape))
+        _bias_grad(bias, g)
 
-    return Tensor._result(y[0] if squeeze else y, (x, w), backward)
+    return Tensor._result(y, parents, backward)
 
 
 # ---- losses ----

@@ -527,6 +527,25 @@ class TestCommands:
             assert one_line_error(capsys) == f"error: corpus: {message}\n"
         assert not (out / "d.wav").exists()
 
+    @pytest.mark.parametrize("kind", ["corpus", "checkpoint"])
+    def test_deeply_nested_header_exits_2(self, tiny_cfg, tmp_path, capsys, kind):
+        # json raises RecursionError, not ValueError, on arrays nested this deep
+        out = tmp_path / "run"
+        corpus_path, ckpt = gen_and_train(tiny_cfg, out)
+        magic, version, path, what = {
+            "corpus": (CORPUS_MAGIC, CORPUS_VERSION, corpus_path, "corpus"),
+            "checkpoint": (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, ckpt, f"checkpoint {ckpt}"),
+        }[kind]
+        header = b'{"arrays": [], "meta": ' + b"[" * 100000
+        path.write_bytes(magic + bytes([version]) + len(header).to_bytes(4, "little") + header)
+        for command in (["eval", str(ckpt), str(corpus_path)],
+                        ["convert", str(ckpt), str(corpus_path), *triple_wavs(out),
+                         str(out / "d.wav")]):
+            capsys.readouterr()
+            assert main(["--config", str(tiny_cfg), "--out", str(out), *command]) == 2
+            assert one_line_error(capsys).startswith(f"error: {what}: malformed header: ")
+        assert not (out / "d.wav").exists()
+
     def test_eval_twice_writes_identical_report(self, tiny_cfg, tmp_path):
         out = tmp_path / "run"
         corpus_path, ckpt = gen_and_train(tiny_cfg, out)

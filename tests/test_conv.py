@@ -82,12 +82,13 @@ class TestConv2d:
         rng = np.random.default_rng(5)
         x = Tensor(rng.normal(size=(1, 5, 5)), requires_grad=True)
         w = Tensor(rng.normal(size=(2, 1, 3, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=(2, 1, 1)), requires_grad=True)
 
         def loss():
-            y = T.conv2d(x, w, 2, 1)
+            y = T.conv2d(x, w, 2, 1, b)
             return (y * y).sum()
 
-        assert T.gradient_check(loss, {"x": x, "w": w}) < 1e-7
+        assert T.gradient_check(loss, {"x": x, "w": w, "b": b}) < 1e-7
 
 
 class TestConv2dTranspose:
@@ -137,12 +138,13 @@ class TestConv2dTranspose:
         rng = np.random.default_rng(8)
         x = Tensor(rng.normal(size=(2, 3, 3)), requires_grad=True)
         w = Tensor(rng.normal(size=(2, 1, 3, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=(1, 1, 1)), requires_grad=True)
 
         def loss():
-            y = T.conv2d_transpose(x, w, 2, 1, out_hw=(5, 5))
+            y = T.conv2d_transpose(x, w, 2, 1, out_hw=(5, 5), bias=b)
             return (y * y).sum()
 
-        assert T.gradient_check(loss, {"x": x, "w": w}) < 1e-7
+        assert T.gradient_check(loss, {"x": x, "w": w, "b": b}) < 1e-7
 
 
 class TestIm2col:
@@ -162,3 +164,89 @@ class TestIm2col:
         assert (got_ho, got_wo) == (ho, wo)
         assert cols.flags.c_contiguous
         assert cols.tobytes() == expected.tobytes()
+
+
+def col2im_oracle(cols, x_shape, kh, kw, stride, pad, ho, wo):
+    """The scatter _col2im replaced: one strided add per tap, in (i, j) order."""
+    n, c, h, w = x_shape
+    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), cols.dtype)
+    cols = cols.reshape(n, c, kh, kw, ho, wo)
+    for i in range(kh):
+        for j in range(kw):
+            xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += cols[:, :, i, j]
+    return xp[:, :, pad:pad + h, pad:pad + w]
+
+
+class TestCol2im:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("block", [None, 1])
+    def test_matches_per_tap_loop(self, dtype, block, monkeypatch):
+        # with w2 the identity each tap product is exact, so this compares the
+        # scatter alone, whatever order a GEMM sums in; block 1 makes every
+        # sample its own block
+        if block is not None:
+            monkeypatch.setattr(T, "_COL2IM_BLOCK", block)
+        rng = np.random.default_rng(11)
+        n, c = 3, 3
+        for k, stride, pad, h, w in itertools.product((1, 2, 3, 4), (1, 2, 3), (0, 1, 2),
+                                                      (5, 6), (7, 8)):
+            if h + 2 * pad < k:
+                continue
+            ho, wo = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+            g = rng.normal(size=(n, c * k * k, ho, wo)).astype(dtype)
+            want = col2im_oracle(g.reshape(n, c * k * k, ho * wo), (n, c, h, w), k, k,
+                                 stride, pad, ho, wo)
+            got = T._col2im(np.eye(c * k * k, dtype=dtype), g, (n, c, h, w), k, k, stride, pad)
+            assert got.tobytes() == want.tobytes(), (k, stride, pad, h, w)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_model_geometry_with_its_gemm(self, dtype):
+        # the model's kernel, stride and padding: the products of the padded
+        # GEMM input equal the unpadded GEMM's bit for bit
+        rng = np.random.default_rng(12)
+        g = rng.normal(size=(4, 8, 12, 16)).astype(dtype)
+        w2 = rng.normal(size=(8, 6 * 9)).astype(dtype)
+        cols = np.matmul(w2.T, g.reshape(4, 8, 12 * 16))
+        want = col2im_oracle(cols, (4, 6, 24, 32), 3, 3, 2, 1, 12, 16)
+        got = T._col2im(w2, g, (4, 6, 24, 32), 3, 3, 2, 1)
+        assert got.tobytes() == want.tobytes()
+
+
+def biased(op, dtype, rank):
+    """op's plain and bias-operand forms on one draw of (x, w, b): each as the
+    (x, w, b) tensors, the result and, after a backward, the gradients."""
+    rng = np.random.default_rng(rank)
+    lead = (3,) if rank == 4 else ()
+    x_shape, w_shape, b_shape, call = {
+        "conv2d": (lead + (2, 7, 6), (4, 2, 3, 3), (4, 1, 1),
+                   lambda x, w, b=None: T.conv2d(x, w, 2, 1, b)),
+        "conv2d_transpose": (lead + (4, 4, 3), (4, 2, 3, 3), (2, 1, 1),
+                             lambda x, w, b=None: T.conv2d_transpose(x, w, 2, 1, (8, 6), b)),
+        "matmul": ((5, 6), (6, 4), (4,), lambda x, w, b=None: x.matmul(w, b)),
+    }[op]
+    draws = [rng.normal(size=shape).astype(dtype) for shape in (x_shape, w_shape, b_shape)]
+    out = []
+    for fused in (False, True):
+        x, w, b = (Tensor(d.copy(), requires_grad=True) for d in draws)
+        y = call(x, w, b) if fused else call(x, w) + b
+        upstream = np.random.default_rng(99).normal(size=y.shape).astype(dtype)
+        (y * Tensor(upstream)).sum().backward()
+        out.append([y.data, x.grad, w.grad, b.grad])
+    return out
+
+
+class TestBiasOperand:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op, rank", [("conv2d", 3), ("conv2d", 4),
+                                          ("conv2d_transpose", 3), ("conv2d_transpose", 4),
+                                          ("matmul", 2)])
+    def test_same_bytes_as_a_separate_add(self, op, rank, dtype):
+        separate, fused = biased(op, dtype, rank)
+        for name, want, got in zip(("y", "x.grad", "w.grad", "b.grad"), separate, fused):
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+
+    def test_bias_that_does_not_broadcast_rejected(self):
+        x = Tensor(np.ones((1, 4, 4)))
+        with pytest.raises(ShapeMismatchError, match="bias"):
+            T.conv2d(x, Tensor(np.ones((2, 1, 3, 3))), 1, 1, Tensor(np.ones((3, 1, 1))))

@@ -344,6 +344,22 @@ class TestLeakyReluBitIdentity:
         assert y.data.tobytes() == expected_y.tobytes()
         assert xt.grad.tobytes() == expected_gx.tobytes()
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.2, 0.5, 1.0])
+    def test_float32_matches_masked_form(self, alpha):
+        x = np.repeat(SPECIAL, SPECIAL.size).astype(np.float32)
+        g = np.tile(SPECIAL, SPECIAL.size).astype(np.float32)
+        mask = x > 0
+        with np.errstate(invalid="ignore"):
+            expected_y = np.where(mask, x, alpha * x)
+            expected_gx = np.where(mask, g, alpha * g) + np.float32(0.0)
+            xt = Tensor(x.copy(), requires_grad=True)
+            y = xt.leaky_relu(alpha)
+            y.grad = g.copy()
+            y._backward(y)
+        assert y.data.dtype == xt.grad.dtype == np.float32
+        assert y.data.tobytes() == expected_y.tobytes()
+        assert xt.grad.tobytes() == expected_gx.tobytes()
+
     @pytest.mark.parametrize("alpha", [-0.1, 1.5, np.nan, np.inf])
     def test_alpha_outside_unit_interval_rejected(self, alpha):
         with pytest.raises(ValueError, match="alpha"):
