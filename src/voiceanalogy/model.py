@@ -1,11 +1,11 @@
 """Analogy generator and class-conditional discriminator.
 
 The generator encodes spectrograms a, b, c with a shared convolutional
-encoder, applies the analogy transform in latent space (additive
-zb - za + zc, or a small perceptron on [zb - za, zc]) and decodes back to
-spectrogram shape with transposed convolutions. The discriminator is a
-conv stack with |W|*|S| + 1 output logits: one class per (word, speaker)
-pair plus a single fake class.
+encoder, in one pass over the three batches stacked, applies the analogy
+transform in latent space (additive zb - za + zc, or a small perceptron on
+[zb - za, zc]) and decodes back to spectrogram shape with transposed
+convolutions. The discriminator is a conv stack with |W|*|S| + 1 output
+logits: one class per (word, speaker) pair plus a single fake class.
 """
 
 import math
@@ -240,10 +240,10 @@ def decode(params, z):
 
 
 def generator_forward(params, a, b, c):
-    """Predict d from spectrogram batches a, b, c (shared encoder)."""
-    za = encode(params, a)
-    zb = encode(params, b)
-    zc = encode(params, c)
+    """Predict d from spectrogram batches a, b, c: one pass of the shared
+    encoder over the three stacked on the batch axis."""
+    z = encode(params, T.concat([a, b, c], axis=0))
+    za, zb, zc = T.split(z, [a.shape[0], b.shape[0], c.shape[0]])
     return decode(params, transform(params, za, zb, zc))
 
 

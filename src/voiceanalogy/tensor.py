@@ -214,9 +214,10 @@ class Tensor:
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"leaky_relu alpha must be in [0, 1], got {alpha!r}")
         x = self.data
-        # slope 1 where x > 0, else alpha: x * slope is where(x > 0, x, alpha * x)
-        # bit for bit, signed zeros, infinities and NaN included, and one
-        # multiply is much cheaper than np.where in both directions
+        # slope is 1 where x > 0, else alpha, for every alpha in [0, 1]: x * slope
+        # is where(x > 0, x, alpha * x) bit for bit, signed zeros, infinities
+        # and NaN included, and the backward's one multiply is several times
+        # cheaper than np.where
         slope = (x > 0).astype(x.dtype)
         np.maximum(slope, alpha, out=slope)
         return self._unary(x * slope, lambda g: g * slope)
@@ -286,6 +287,24 @@ def concat(tensors, axis=0):
                 t._accumulate(out.grad[tuple(sl)])
 
     return Tensor._result(data, tuple(tensors), backward)
+
+
+def split(x, sizes):
+    """x cut along the leading axis into consecutive blocks of `sizes` rows."""
+    if sum(sizes) != x.data.shape[0]:
+        raise ShapeMismatchError(f"split: sizes {sizes} do not add up to {x.data.shape[0]} rows")
+    parts = []
+    start = 0
+    for size in sizes:
+        rows = slice(start, start + size)
+
+        def vjp(g, rows=rows):
+            full = np.zeros_like(x.data)
+            full[rows] = g
+            return full
+        parts.append(x._unary(x.data[rows], vjp))
+        start += size
+    return parts
 
 
 # ---- convolution ----

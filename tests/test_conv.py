@@ -213,8 +213,8 @@ class TestCol2im:
 
 
 def biased(op, dtype, rank):
-    """op's plain and bias-operand forms on one draw of (x, w, b): each as the
-    (x, w, b) tensors, the result and, after a backward, the gradients."""
+    """op followed by `+ b`, then op with `b` as its bias operand, on one draw
+    of (x, w, b): for each, [y, x.grad, w.grad, b.grad] after one backward."""
     rng = np.random.default_rng(rank)
     lead = (3,) if rank == 4 else ()
     x_shape, w_shape, b_shape, call = {

@@ -199,6 +199,17 @@ class TestConcat:
         np.testing.assert_array_equal(a.grad, 2 * np.ones((2, 3)))
         np.testing.assert_array_equal(b.grad, 4 * np.ones((2, 2)))
 
+    def test_split_forward_and_backward(self):
+        x = Tensor(np.arange(12.0).reshape(6, 2), requires_grad=True)
+        head, tail = T.split(x, [2, 4])
+        assert head.data.tobytes() == x.data[:2].tobytes()
+        assert tail.data.tobytes() == x.data[2:].tobytes()
+        ((head * 3.0).sum() + (tail * tail).sum()).backward()
+        np.testing.assert_array_equal(x.grad, np.concatenate([np.full((2, 2), 3.0),
+                                                              2 * x.data[2:]]))
+        with pytest.raises(ShapeMismatchError, match="split"):
+            T.split(x, [2, 3])
+
 
 class TestOptimizers:
     def test_sgd_step(self):

@@ -81,11 +81,11 @@ def test_traced_inversion_counts_cg_iterations_applies_per_round(tracer_module):
 
 def test_traced_train_step_sees_every_model_call(tracer_module, trainer):
     # the tracer patches model functions by name: generator_forward must call
-    # the module's encode once per input, or model.encode.calls reads 0
+    # the module's encode, once on a, b and c stacked, or model.encode.calls reads 0
     tracer = tracer_module.Tracer()
     with tracer.installed():
         trainer.train_step()
     calls = Counter(span[0] for span in tracer.spans)
     for name in ("model.generator_forward", "model.discriminator_forward", "model.spec_batch"):
         assert calls[name] > 0, name
-    assert tracer.counts["encode.calls"] == 3 * calls["model.generator_forward"]
+    assert tracer.counts["encode.calls"] == 1 * calls["model.generator_forward"]
