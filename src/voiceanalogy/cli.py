@@ -231,6 +231,7 @@ def cmd_convert(cfg, out_dir, checkpoint_path, corpus_path, a_path, b_path, c_pa
     x = [Tensor(spec_batch([s], mcfg)) for s in specs]
     pred = generator_forward(trainer.gen_params.frozen(), *x)
     t_frames = specs[0].frames
+    # float32, as the generator computes, so the phase recovery runs in float32
     values = np.maximum(pred.data[0, 0, :, :t_frames], 0.0)
     out_spec = Q.Spectrogram(values, cqt_cfg)
     audio = Q.inverse_cqt(out_spec, fb, iterations=cfg["griffin_lim_iters"],

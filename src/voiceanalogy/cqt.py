@@ -10,10 +10,16 @@ On top: log-compressed magnitude spectrograms, phase recovery back to audio
 by fast Griffin-Lim whose consistency step is a warm-started
 conjugate-gradient least-squares (CGLS) solve, and a simple
 fundamental-frequency estimator used for evaluation.
+
+Everything computes in the dtype of its data, by `tensor`'s rule: float32
+(complex64 for a grid) stays single precision, anything else becomes float64
+(complex128). So the float64 corpus and its analyses keep their bytes, and a
+float32 spectrogram, such as the generator's output, is inverted in float32.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -31,6 +37,12 @@ PEAK_FRACTION = 0.5
 FGLA_ALPHA = 0.9
 # CGLS steps in each round of inverse_cqt's least-squares fit.
 CG_ITERATIONS = 3
+
+
+def _real_array(data):
+    """data as a float32 array if it is one, else as float64."""
+    arr = np.asarray(data)
+    return arr if arr.dtype == np.float32 else arr.astype(np.float64, copy=False)
 
 
 class CqtConfigError(ValueError):
@@ -103,6 +115,9 @@ class Filterbank:
       one piece for the innermost octave) meet only the bins 0:hi of
       octaves 0..j. Each piece holds those bins over its columns, stored as
       [Re rows; Im rows] x columns for the adjoint.
+
+    `octaves32` and `shells32` are their float32 copies, made at the first
+    float32 apply, so float64 callers never pay for them.
     """
 
     config: CqtConfig
@@ -137,6 +152,15 @@ class Filterbank:
             self.shells.append((hi, [(cols, real_block(slice(0, hi), cols))
                                      for cols in pieces if cols.stop > cols.start]))
 
+    @cached_property
+    def octaves32(self):
+        return [(lo, hi, cols, block.astype(np.float32)) for lo, hi, cols, block in self.octaves]
+
+    @cached_property
+    def shells32(self):
+        return [(hi, [(cols, block.astype(np.float32)) for cols, block in pieces])
+                for hi, pieces in self.shells]
+
     @property
     def max_window(self):
         return self.kernels.shape[1]
@@ -144,13 +168,13 @@ class Filterbank:
 
 @dataclass
 class Spectrogram:
-    """K x T grid of log-compressed CQT magnitudes."""
+    """K x T grid of log-compressed CQT magnitudes, float32 or float64."""
 
     values: np.ndarray
     config: CqtConfig
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
+        self.values = _real_array(self.values)
 
     @property
     def bins(self):
@@ -185,20 +209,23 @@ def forward_cqt(signal, filterbank):
 
     One contiguous T x max_window frame gather, then one real matmul per
     octave of those frames' columns its kernels cover by the octave's
-    columns x [Re | Im] block."""
-    signal = np.asarray(signal, dtype=np.float64)
+    columns x [Re | Im] block. A float32 signal gives a complex64 grid, any
+    other a complex128 one."""
+    signal = _real_array(signal)
     width = filterbank.max_window
     if signal.size < width:
         raise SignalLengthError(
             f"signal of {signal.size} samples shorter than longest kernel "
             f"({width} samples)")
     mid = (width - 1) // 2
-    padded = np.zeros(signal.size + width)
+    padded = np.zeros(signal.size + width, signal.dtype)
     padded[mid:mid + signal.size] = signal
     # row t holds the max_window samples whose column mid is sample t*hop
     frames = np.ascontiguousarray(sliding_window_view(padded, width)[::filterbank.config.hop])
-    grid = np.empty((filterbank.config.n_bins, frames.shape[0]), dtype=np.complex128)
-    for lo, hi, cols, block in filterbank.octaves:
+    grid = np.empty((filterbank.config.n_bins, frames.shape[0]),
+                    dtype=np.result_type(signal.dtype, np.complex64))
+    octaves = filterbank.octaves32 if signal.dtype == np.float32 else filterbank.octaves
+    for lo, hi, cols, block in octaves:
         prods = frames[:, cols] @ block  # real, then imaginary parts, per frame
         grid.real[lo:hi] = prods[:, :hi - lo].T
         np.negative(prods[:, hi - lo:].T, out=grid.imag[lo:hi])
@@ -206,11 +233,13 @@ def forward_cqt(signal, filterbank):
 
 
 def compress(grid, config):
-    """Magnitude compression: log(1 + GAMMA*|z|)."""
+    """Magnitude compression: log(1 + GAMMA*|z|), float32 for a complex64
+    grid."""
     return Spectrogram(np.log1p(GAMMA * np.abs(grid)), config)
 
 
 def decompress(values):
+    """Inverse of compress, in the dtype of `values`."""
     return np.expm1(np.maximum(values, 0.0)) / GAMMA
 
 
@@ -218,9 +247,12 @@ def _adjoint_frames(grid, filterbank):
     """T x max_window frame products: row t is Re(grid[:, t] @ kernels).
 
     One real matmul per shell piece, over the rows [Re; -Im] of the bins
-    whose kernels reach its columns, written in place into one array."""
-    frames = np.empty((grid.shape[1], filterbank.max_window))
-    for hi, pieces in filterbank.shells:
+    whose kernels reach its columns, written in place into one array:
+    float32 for a complex64 grid, else float64."""
+    single = grid.dtype in (np.complex64, np.float32)
+    frames = np.empty((grid.shape[1], filterbank.max_window),
+                      np.float32 if single else np.float64)
+    for hi, pieces in filterbank.shells32 if single else filterbank.shells:
         coeffs = np.concatenate([grid.real[:hi], -grid.imag[:hi]]).T
         for cols, block in pieces:
             np.matmul(coeffs, block, out=frames[:, cols])
@@ -233,12 +265,14 @@ def _adjoint_cqt(grid, filterbank, signal_length):
     The frame products of _adjoint_frames are overlap-added where
     forward_cqt read frame t, at padded-signal samples t*hop onwards, by
     one slice add per frame in increasing t, so each sample sums its terms
-    in frame order from +0.0: the same bytes as a bincount over a per-call
-    T x max_window index, without building that index."""
+    in frame order from +0.0: the same bytes as a bincount (np.add.at in
+    float32) over a per-call T x max_window index, without building that
+    index."""
     width = filterbank.max_window
     hop = filterbank.config.hop
-    padded = np.zeros(signal_length + width)
-    for t, row in enumerate(_adjoint_frames(grid, filterbank)):
+    frames = _adjoint_frames(grid, filterbank)
+    padded = np.zeros(signal_length + width, frames.dtype)
+    for t, row in enumerate(frames):
         padded[t * hop:t * hop + width] += row
     mid = (width - 1) // 2
     return padded[mid:mid + signal_length]
@@ -250,7 +284,8 @@ def _lsq_synthesize(grid, filterbank, x0, ax0, cg_iterations):
     CGLS: conjugate gradients on min ||A x - grid|| with the residual kept in
     grid space, so the start costs no apply beyond the analysis ax0 = A x0
     the caller already holds. Each step does one forward apply, and one
-    adjoint apply when another step follows. Returns (x, A x).
+    adjoint apply when another step follows. Returns (x, A x), in the
+    dtype of x0.
     """
     x, ax = x0, ax0
     r = grid - ax
@@ -288,6 +323,11 @@ def inverse_cqt(spec, filterbank, iterations, signal_length, seed=0, return_erro
     best iterate seen, so the reported error sequence is non-increasing by
     construction. `signal_length` is the length of the audio returned, which
     must analyse to the spectrogram's frame count.
+
+    The rounds run in the spectrogram's dtype, and the audio is returned as
+    float64 either way. A float32 inversion's reported errors are those of
+    its float32 running analysis, so they can differ from a float64
+    re-analysis of the returned audio in about the seventh digit.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -296,6 +336,7 @@ def inverse_cqt(spec, filterbank, iterations, signal_length, seed=0, return_erro
         raise CqtConfigError(
             f"spectrogram has {spec.bins} bins, the filterbank has {cfg.n_bins}")
     target = decompress(spec.values)
+    dtype = target.dtype
     t_frames = target.shape[1]
     if signal_length < filterbank.max_window:
         raise SignalLengthError(
@@ -311,8 +352,8 @@ def inverse_cqt(spec, filterbank, iterations, signal_length, seed=0, return_erro
         return (zeros, [0.0] * iterations) if return_errors else zeros
     rng = np.random.default_rng(seed)
     phases = np.exp(2j * np.pi * rng.random(target.shape))
-    grid = proj = target * phases
-    audio = np.zeros(signal_length)
+    grid = proj = target * phases.astype(np.result_type(dtype, np.complex64), copy=False)
+    audio = np.zeros(signal_length, dtype)
     analysis = np.zeros_like(grid)
     best_audio = audio
     best_error = np.inf
@@ -326,8 +367,11 @@ def inverse_cqt(spec, filterbank, iterations, signal_length, seed=0, return_erro
             best_audio = audio
         errors.append(best_error)
         prev_proj = proj
-        proj = target * analysis / np.maximum(mags, 1e-300)
+        # a floor of the working dtype: 1e-300 is 0 in float32, and an exactly
+        # zero analysis entry would then make the grid NaN
+        proj = target * analysis / np.maximum(mags, np.finfo(dtype).tiny)
         grid = proj + FGLA_ALPHA * (proj - prev_proj)
+    best_audio = best_audio.astype(np.float64, copy=False)
     return (best_audio, errors) if return_errors else best_audio
 
 
@@ -342,13 +386,14 @@ def estimate_f0(spec):
     # a bin qualifies if it is above the bin below it and not below the bin
     # above it (past either edge is -inf), and reaches PEAK_FRACTION of its
     # frame's peak; a frame whose peak is below SILENCE_THRESHOLD has none,
-    # nor has a frame holding a NaN, whose peak is NaN
+    # nor has a frame holding a NaN, whose peak is NaN. The peak meets the
+    # threshold in float64, so a float32 grid and its float64 copy agree.
     edge = np.full((1, values.shape[1]), -np.inf)
     peak = values.max(axis=0)
     qualifies = ((values > np.concatenate([edge, values[:-1]]))
                  & (values >= np.concatenate([values[1:], edge]))
                  & (values >= PEAK_FRACTION * peak)
-                 & (peak >= SILENCE_THRESHOLD))
+                 & (peak.astype(np.float64) >= SILENCE_THRESHOLD))
     voiced = qualifies.any(axis=0)
     if not voiced.any():
         return None

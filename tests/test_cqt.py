@@ -80,13 +80,20 @@ def reference_adjoint(grid, config, signal_length):
 
 
 def bincount_adjoint(grid, filterbank, signal_length):
-    """The adjoint's overlap-add as one bincount over a T x max_window index
-    of padded-signal samples. bincount sums each sample's terms in frame
-    order from +0.0, so the slice adds must give the same bytes."""
+    """The adjoint's overlap-add over a T x max_window index of padded-signal
+    samples, in the dtype of the frame products: one bincount in float64,
+    and np.add.at in float32, since bincount always returns float64. Both
+    sum each sample's terms in frame order from +0.0, so the slice adds must
+    give the same bytes."""
     width = filterbank.max_window
     frames = _adjoint_frames(grid, filterbank)
-    index = np.arange(grid.shape[1])[:, None] * filterbank.config.hop + np.arange(width)
-    padded = np.bincount(index.ravel(), frames.ravel(), minlength=signal_length + width)
+    index = (np.arange(grid.shape[1])[:, None] * filterbank.config.hop
+             + np.arange(width)).ravel()
+    if frames.dtype == np.float64:
+        padded = np.bincount(index, frames.ravel(), minlength=signal_length + width)
+    else:
+        padded = np.zeros(signal_length + width, frames.dtype)
+        np.add.at(padded, index, frames.ravel())
     mid = (width - 1) // 2
     return padded[mid:mid + signal_length]
 
@@ -288,6 +295,54 @@ class TestOperator:
             rhs = x @ _adjoint_cqt(y, fb, n)               # <x, A*y>
             assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
+    def test_dtype_follows_data(self, cfg):
+        fb = design_filterbank(cfg)
+        x = np.random.default_rng(5).normal(size=4000)
+        for real, cplx in ((np.float32, np.complex64), (np.float64, np.complex128)):
+            grid = forward_cqt(x.astype(real), fb)
+            assert grid.dtype == cplx
+            assert _adjoint_frames(grid, fb).dtype == real
+            assert _adjoint_cqt(grid, fb, x.size).dtype == real
+        # anything else is float64, as in tensor
+        assert forward_cqt(x.astype(np.float16), fb).dtype == np.complex128
+
+    @pytest.mark.parametrize("n", [4000, 4001])
+    def test_float32_matches_per_bin_loop(self, cfg, n):
+        fb = design_filterbank(cfg)
+        rng = np.random.default_rng(n + 3)
+        x = rng.normal(size=n)
+        want = reference_forward(x, cfg)
+        got = forward_cqt(x.astype(np.float32), fb)
+        assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+        shape = (cfg.n_bins, n_frames(n, cfg.hop))
+        y = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        want = reference_adjoint(y, cfg, n)
+        got = _adjoint_cqt(y.astype(np.complex64), fb, n)
+        assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
+    def test_float32_adjoint_identity(self, cfg):
+        fb = design_filterbank(cfg)
+        rng = np.random.default_rng(6)
+        for n in (fb.max_window, 4000, 4001):
+            x = rng.normal(size=n).astype(np.float32)
+            shape = (cfg.n_bins, n_frames(n, cfg.hop))
+            y = (rng.normal(size=shape) + 1j * rng.normal(size=shape)).astype(np.complex64)
+            # the two products in float64, so only the operators round in float32
+            lhs = np.real(np.vdot(y, forward_cqt(x, fb).astype(np.complex128)))
+            rhs = x.astype(np.float64) @ _adjoint_cqt(y, fb, n)
+            assert abs(lhs - rhs) <= 1e-5 * abs(lhs)
+
+    @pytest.mark.parametrize("n", [4000, 4001])
+    def test_float32_adjoint_bytes_equal_add_at_overlap_add(self, cfg, n):
+        fb = design_filterbank(cfg)
+        rng = np.random.default_rng(n + 4)
+        shape = (cfg.n_bins, n_frames(n, cfg.hop))
+        y = (rng.normal(size=shape) + 1j * rng.normal(size=shape)).astype(np.complex64)
+        y[:, 1] = 0.0
+        got = _adjoint_cqt(y, fb, n)
+        assert got.dtype == np.float32
+        assert got.tobytes() == bincount_adjoint(y, fb, n).tobytes()
+
 
 class TestCompression:
     def test_zero_maps_to_zero(self, config):
@@ -308,6 +363,18 @@ class TestCompression:
     def test_values_nonnegative(self, config, filterbank):
         spec = compress(forward_cqt(tone(220.0), filterbank), config)
         assert (spec.values >= 0).all()
+
+    def test_dtype_follows_data(self, config):
+        z = np.array([[0.5 + 1j, 0.0]])
+        assert compress(z, config).values.dtype == np.float64
+        assert compress(z.astype(np.complex64), config).values.dtype == np.float32
+        for values, dtype in ((np.ones((2, 2), np.float32), np.float32),
+                              (np.ones((2, 2)), np.float64),
+                              (np.ones((2, 2), np.float16), np.float64),
+                              (np.ones((2, 2), np.int64), np.float64)):
+            spec = Spectrogram(values, config)
+            assert spec.values.dtype == dtype
+            assert decompress(spec.values).dtype == dtype
 
 
 class TestInverse:
@@ -345,6 +412,21 @@ class TestInverse:
         spec = Spectrogram(np.ones((10, 63)), config)
         with pytest.raises(CqtConfigError, match="10 bins.* 48"):
             inverse_cqt(spec, filterbank, iterations=1, signal_length=4000)
+
+    def test_float32_silent_tail_ends_as_float64(self, filterbank, config):
+        """A float32 spectrogram whose tail is silent leaves exact zeros in
+        the analysis; the magnitude floor must not turn them into NaN."""
+        n = 8000
+        values = compress(forward_cqt(tone(220.0, n=n), filterbank), config).values
+        values[:, 60:] = 0.0
+        errors = {}
+        for dtype in (np.float64, np.float32):
+            spec = Spectrogram(values.astype(dtype), config)
+            audio, errors[dtype] = inverse_cqt(spec, filterbank, iterations=5,
+                                               signal_length=n, return_errors=True)
+            assert audio.dtype == np.float64 and np.isfinite(audio).all()
+        assert errors[np.float64][-1] < 0.5
+        np.testing.assert_allclose(errors[np.float32], errors[np.float64], rtol=0, atol=1e-4)
 
     def test_iterations_must_be_positive(self, filterbank, config):
         spec = Spectrogram(np.zeros((config.n_bins, 20)), config)
@@ -461,13 +543,29 @@ def f0_grids():
     yield "all_nan", np.full((48, 64), np.nan)
     yield "inf", np.where(rng.random((8, 6)) < 0.2, np.inf, rng.random((8, 6)))
     yield "neg_inf", np.where(rng.random((8, 6)) < 0.3, -np.inf, rng.random((8, 6)))
+    # two frames whose peak is float32(SILENCE_THRESHOLD): below the threshold
+    # in float64, so silent, and equal to it in float32
+    at_float32 = np.zeros((6, 4))
+    at_float32[3, :2] = np.float32(cqt.SILENCE_THRESHOLD)
+    at_float32[1, 2:] = 1.0
+    yield "peak_at_float32_silence_threshold", at_float32
+
+
+def f0_cases():
+    """Each of f0_grids in float64, under pytest's own ids, then in float32."""
+    grids = list(f0_grids())
+    return ([pytest.param(name, values, id=f"{name}-values{i}")
+             for i, (name, values) in enumerate(grids)]
+            + [pytest.param(name, values.astype(np.float32), id=f"{name}-float32")
+               for name, values in grids])
 
 
 class TestEstimateF0:
-    @pytest.mark.parametrize("name, values", list(f0_grids()))
+    @pytest.mark.parametrize("name, values", f0_cases())
     def test_same_as_loop(self, config, name, values):
-        spec = Spectrogram(values, config)
-        assert estimate_f0(spec) == loop_estimate_f0(spec)
+        """A float32 grid gives the loop's answer on its float64 copy."""
+        want = loop_estimate_f0(Spectrogram(values.astype(np.float64), config))
+        assert estimate_f0(Spectrogram(values, config)) == want
 
     def test_harmonic_tone(self, filterbank, config):
         sig = (tone(200.0) + 0.6 * tone(400.0) + 0.4 * tone(600.0)) / 2
@@ -507,3 +605,47 @@ def test_cli_convert_d_wav_same_as_with_bincount_adjoint(tmp_path, monkeypatch):
     monkeypatch.setattr(cqt, "_adjoint_cqt", bincount_adjoint)
     assert cli.main(run + ["convert", *inputs, str(out / "bincount.wav")]) == 0
     assert (out / "slices.wav").read_bytes() == (out / "bincount.wav").read_bytes()
+
+
+def test_cli_convert_analyses_in_float64_and_inverts_in_float32(tmp_path, monkeypatch):
+    """CLI convert analyses a, b and c in float64 and runs every apply of its
+    phase recovery on the generator's float32 output in float32."""
+    config = tmp_path / "tiny.cfg"
+    config.write_text("version = 1\nbins_per_octave = 4\nn_bins = 16\nhop = 256\n"
+                      "variants_per_cell = 3\nn_words = 2\nsteps = 2\nbatch_size = 4\n"
+                      "griffin_lim_iters = 4\n")
+    out = tmp_path / "run"
+    run = ["--config", str(config), "--out", str(out)]
+    assert cli.main(run + ["gen-data"]) == 0
+    assert cli.main(run + ["train", str(out / "corpus.bin")]) == 0
+    samples = out / "samples"
+    inputs = [str(out / "final_checkpoint.bin"), str(out / "corpus.bin"),
+              str(samples / "speaker0_red.wav"), str(samples / "speaker1_red.wav"),
+              str(samples / "speaker0_blue.wav")]
+    applies = []  # (apply, inside inverse_cqt, input dtype, output dtype)
+    inside = []
+
+    def recorded(name, fn):
+        def apply(data, *args):
+            out = fn(data, *args)
+            applies.append((name, bool(inside), data.dtype.name, out.dtype.name))
+            return out
+        return apply
+
+    def inverse(*args, **kwargs):
+        inside.append(True)
+        try:
+            return inverse_cqt(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(cqt, "forward_cqt", recorded("forward", forward_cqt))
+    monkeypatch.setattr(cqt, "_adjoint_cqt", recorded("adjoint", _adjoint_cqt))
+    monkeypatch.setattr(cqt, "inverse_cqt", inverse)
+    assert cli.main(run + ["convert", *inputs, str(out / "d.wav")]) == 0
+    outside = [a for a in applies if not a[1]]
+    assert outside == [("forward", False, "float64", "complex128")] * 3
+    within = [a for a in applies if a[1]]
+    assert len(within) == 2 * 4 * cqt.CG_ITERATIONS
+    assert set(within) == {("forward", True, "float32", "complex64"),
+                           ("adjoint", True, "complex64", "float32")}
