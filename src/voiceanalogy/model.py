@@ -205,7 +205,9 @@ def spec_batch(specs, config):
 
 def _forward(params, rows, h):
     """Run `rows` on h: an fc row flattens a 4-D input, a tconv row unflattens a
-    2-D one to (inputs, *feature_hw). Ops are looked up on each call, as tracers patch them."""
+    2-D one to (inputs, *feature_hw). An activated row's leaky ReLU runs in place
+    on the layer's fresh output, which no backward reads. Ops are looked up on
+    each call, as tracers patch them."""
     for row in rows:
         w, b = params[f"{row.name}_w"], params[f"{row.name}_b"]
         if row.kind == "conv":
@@ -218,7 +220,7 @@ def _forward(params, rows, h):
             # a strided conv maps several sizes to h; its tconv gives back h * stride
             h = T.conv2d_transpose(h, w, STRIDE, PADDING,
                                    (h.shape[2] * STRIDE, h.shape[3] * STRIDE), b)
-        h = h.leaky_relu(LEAKY_ALPHA) if row.activated else h
+        h = h.leaky_relu(LEAKY_ALPHA, in_place=True) if row.activated else h
     return h
 
 

@@ -104,16 +104,30 @@ class Tensor:
     def detach(self):
         return Tensor(self.data)
 
-    def _accumulate(self, g):
+    def _check_grad_dtype(self, g):
         # a vjp that promoted would do its work in the wider dtype, and a
         # cast here would hide that from every .grad
         if g.dtype != self.data.dtype:
             raise GraphError(f"a {g.dtype} gradient for a {self.data.dtype} tensor")
+
+    def _accumulate(self, g):
+        """Add the gradient g, which other nodes may hold too."""
+        self._check_grad_dtype(g)
         if self.grad is None:
             # a fresh array in this tensor's shape, never `g` itself (the vjp
             # of add hands one array to both parents); adding 0.0 turns a
             # -0.0 into +0.0, as accumulating onto zeros did
             self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
+
+    def _take(self, g):
+        """_accumulate for a fresh vjp output g in this tensor's shape that no
+        other node holds: a first gradient is g itself, its -0.0 turned into
+        +0.0 in place, not a copy."""
+        self._check_grad_dtype(g)
+        if self.grad is None:
+            self.grad = np.add(g, 0.0, out=g)
         else:
             self.grad += g
 
@@ -194,9 +208,9 @@ class Tensor:
         def backward(out):
             g = out.grad
             if self._track:
-                self._accumulate(g @ b.T)
+                self._take(g @ b.T)
             if other._track:
-                other._accumulate(a.T @ g)
+                other._take(a.T @ g)
             _bias_grad(bias, g)
 
         return Tensor._result(data, parents, backward)
@@ -210,7 +224,10 @@ class Tensor:
         mask = self.data > 0
         return self._unary(np.where(mask, self.data, 0.0), lambda g: g * mask)
 
-    def leaky_relu(self, alpha=0.2):
+    def leaky_relu(self, alpha=0.2, in_place=False):
+        """where(x > 0, x, alpha * x). With in_place the result is written over
+        this tensor's data, so only for a fresh op output that no backward
+        reads, such as a conv's or a matmul's."""
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"leaky_relu alpha must be in [0, 1], got {alpha!r}")
         x = self.data
@@ -220,7 +237,8 @@ class Tensor:
         # cheaper than np.where
         slope = (x > 0).astype(x.dtype)
         np.maximum(slope, alpha, out=slope)
-        return self._unary(x * slope, lambda g: g * slope)
+        data = np.multiply(x, slope, out=x if in_place else None)
+        return Tensor._result(data, (self,), lambda out: self._take(out.grad * slope))
 
     def tanh(self):
         data = np.tanh(self.data)
@@ -407,7 +425,7 @@ def conv2d(x, w, stride=1, padding=0, bias=None):
             x._accumulate(gx[0] if squeeze else gx)
         if w._track:
             gw = np.matmul(gy.reshape(n, c_out, ho * wo), cols.transpose(0, 2, 1)).sum(axis=0)
-            w._accumulate(gw.reshape(wd.shape))
+            w._take(gw.reshape(wd.shape))
         _bias_grad(bias, g)
 
     return Tensor._result(y, parents, backward)
@@ -446,10 +464,10 @@ def conv2d_transpose(x, w, stride=1, padding=0, out_hw=None, bias=None):
         gcols, _, _ = _im2col(gy, kh, kw, stride, padding)
         if x._track:
             gx = np.matmul(w2, gcols).reshape(n, c_out, h, wid)
-            x._accumulate(gx[0] if squeeze else gx)
+            x._take(gx[0] if squeeze else gx)
         if w._track:
             gw = np.matmul(xd.reshape(n, c_out, h * wid), gcols.transpose(0, 2, 1)).sum(axis=0)
-            w._accumulate(gw.reshape(wd.shape))
+            w._take(gw.reshape(wd.shape))
         _bias_grad(bias, g)
 
     return Tensor._result(y, parents, backward)

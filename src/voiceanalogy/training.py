@@ -3,9 +3,12 @@
 Each alternation takes `disc_steps_per_gen_step` discriminator steps and
 one generator step, on independently drawn half-real/half-generated
 batches. All randomness flows through one seeded generator so metrics
-logs are a pure function of (config, corpus).
+logs are a pure function of (config, corpus). The generator step's forward
+runs on one worker thread beside the discriminator steps, which gives the
+same bytes as running it after them.
 """
 
+import concurrent.futures
 import math
 import time
 from dataclasses import dataclass, asdict
@@ -35,6 +38,30 @@ METRICS_FIELDS = ("step", "analogy_loss", "disc_loss", "gen_adv_loss",
 # from its own seeded generator
 EVAL_QUADRUPLES = 64
 EVAL_SEED = 12345
+
+
+# the thread that runs each train step's generator forward; made on first use
+_worker = None
+
+
+def _forward_worker():
+    global _worker
+    if _worker is None:
+        _worker = concurrent.futures.ThreadPoolExecutor(
+            1, thread_name_prefix="voiceanalogy-gen-forward")
+    return _worker
+
+
+def _quiet():
+    # a diverging run overflows float32 before a loss reads inf or nan; the
+    # loss check reports it, so numpy's warnings would only repeat it. numpy's
+    # error state is per thread, so each thread of a step enters its own
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
+def _quietly(fn, *args):
+    with _quiet():
+        return fn(*args)
 
 
 class TrainingDivergedError(RuntimeError):
@@ -193,9 +220,16 @@ class Trainer:
         fake_rate = float((pred[n_real:] == self.model_config.fake_class).mean())
         return loss_v, real_acc, fake_rate
 
-    def gen_step(self, batch):
-        pred = generator_forward(self.gen_params, Tensor(batch.gen_a),
+    def gen_forward(self, batch):
+        """The generator's tracked forward on batch's a, b and c."""
+        return generator_forward(self.gen_params, Tensor(batch.gen_a),
                                  Tensor(batch.gen_b), Tensor(batch.gen_c))
+
+    def gen_step(self, batch, pred=None):
+        """The generator update on batch; `pred` is gen_forward(batch) if
+        already run, on the generator's current weights."""
+        if pred is None:
+            pred = self.gen_forward(batch)
         total, a_loss, adv = generator_total_loss(
             pred, batch.gen_d, self.disc_params.frozen(), batch.target_classes,
             self.config.lambda_adv)
@@ -208,19 +242,28 @@ class Trainer:
 
     def train_step(self):
         """One alternation: disc steps then a gen step; returns a record.
-        Raises TrainingDivergedError when a loss is not finite."""
+        Raises TrainingDivergedError when a loss is not finite.
+
+        The step draws its batches first, disc batches then the gen batch,
+        as the steps take them. The gen step's forward then runs on the
+        worker thread while this thread runs the disc steps, which draw
+        nothing and leave the generator's weights as they are, so the step
+        computes the same bytes as disc steps followed by gen_step."""
         t0 = time.monotonic()
         disc_loss = real_acc = fake_rate = 0.0
-        # a diverging run overflows float32 before a loss reads inf or nan;
-        # the loss check reports it, so numpy's warnings would only repeat it
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for _ in range(self.config.disc_steps_per_gen_step):
-                batch = make_batch(self.corpus, self.model_config, self.rng,
-                                   self.config.batch_size)
-                disc_loss, real_acc, fake_rate = self.disc_step(batch)
-            batch = make_batch(self.corpus, self.model_config, self.rng,
-                               self.config.batch_size)
-            a_loss, adv_loss = self.gen_step(batch)
+        with _quiet():
+            batches = [make_batch(self.corpus, self.model_config, self.rng,
+                                  self.config.batch_size)
+                       for _ in range(self.config.disc_steps_per_gen_step + 1)]
+            gen_batch = batches.pop()
+            forward = _forward_worker().submit(_quietly, self.gen_forward, gen_batch)
+            try:
+                for batch in batches:
+                    disc_loss, real_acc, fake_rate = self.disc_step(batch)
+            finally:
+                # the forward reads the generator's weights: it ends before the step
+                concurrent.futures.wait([forward])
+            a_loss, adv_loss = self.gen_step(gen_batch, forward.result())
         self.step += 1
         return MetricsRecord(self.step, a_loss, disc_loss, adv_loss,
                              real_acc, fake_rate, time.monotonic() - t0)

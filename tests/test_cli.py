@@ -44,6 +44,28 @@ def gen_and_train(config, out):
     return out / "corpus.bin", out / "final_checkpoint.bin"
 
 
+def train_in_child(tmp_path, name, env=(), pin=False):
+    """(metrics.log, final_checkpoint.bin) bytes of a 10-step default-model
+    train run in its own process, with `env` added to its environment and,
+    if `pin`, on one CPU; the corpus is made once per tmp_path."""
+    cfg = tmp_path / "short.cfg"
+    data = tmp_path / "data"
+    if not cfg.exists():
+        cfg.write_text("version = 1\nsteps = 10\nlog_interval = 1\n")
+        assert main(["--config", str(cfg), "--out", str(data), "gen-data"]) == 0
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, **dict(env),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    # the child pins itself before numpy loads, so BLAS sees one CPU too
+    pinning = ("os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+               "assert len(os.sched_getaffinity(0)) == 1; " if pin else "")
+    child = f"import os, sys; {pinning}from voiceanalogy.cli import main; sys.exit(main())"
+    out = tmp_path / name
+    subprocess.run([sys.executable, "-c", child, "--config", str(cfg), "--out", str(out),
+                    "train", str(data / "corpus.bin")], env=env, check=True, capture_output=True)
+    return [(out / f).read_bytes() for f in ("metrics.log", "final_checkpoint.bin")]
+
+
 def triple_wavs(out):
     return [str(out / "samples" / f"speaker{s}_{w}.wav")
             for s, w in ((0, "red"), (1, "red"), (0, "blue"))]
@@ -276,22 +298,20 @@ class TestCommands:
 
     def test_train_writes_same_bytes_with_one_or_two_blas_threads(self, tmp_path):
         # the thread count is read when BLAS loads, so each run is its own process
-        cfg = tmp_path / "short.cfg"
-        cfg.write_text("version = 1\nsteps = 10\nlog_interval = 1\n")
-        assert main(["--config", str(cfg), "--out", str(tmp_path / "data"), "gen-data"]) == 0
-        src = str(Path(cli.__file__).resolve().parents[1])
-        outputs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"threads{threads}"
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
-                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-            subprocess.run([sys.executable, "-m", "voiceanalogy.cli", "--config", str(cfg),
-                            "--out", str(out), "train", str(tmp_path / "data" / "corpus.bin")],
-                           env=env, check=True, capture_output=True)
-            outputs.append([(out / name).read_bytes()
-                            for name in ("metrics.log", "final_checkpoint.bin")])
+        outputs = [train_in_child(tmp_path, f"threads{threads}",
+                                  {"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads})
+                   for threads in ("1", "2")]
         assert outputs[0][0].count(b"\n") == 11   # the header and steps 1-10
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="os.sched_setaffinity is not available")
+    def test_train_writes_same_bytes_on_one_core(self, tmp_path):
+        # the generator forward's worker thread and the discriminator step
+        # share the one core the pinned run may use
+        pinned = train_in_child(tmp_path, "pinned", pin=True)
+        assert pinned[0].count(b"\n") == 11
+        assert pinned == train_in_child(tmp_path, "unpinned")
 
     def test_negative_seed_flag_exits_2_before_any_work(self, tmp_path, capsys):
         out = tmp_path / "o"

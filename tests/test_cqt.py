@@ -10,6 +10,7 @@ from voiceanalogy.cqt import (CqtConfig, CqtConfigError, SignalLengthError,
                               Spectrogram, _adjoint_cqt, _adjoint_frames, _lsq_synthesize,
                               compress, decompress, design_filterbank, estimate_f0,
                               forward_cqt, frequency_to_bin, inverse_cqt, n_frames)
+from voiceanalogy.tensor import Tensor
 
 # default; one whose max_window is odd (1241) with more bins per octave, a
 # hop that is no power of two and shorter kernels; one whose last octave
@@ -605,6 +606,41 @@ def test_cli_convert_d_wav_same_as_with_bincount_adjoint(tmp_path, monkeypatch):
     monkeypatch.setattr(cqt, "_adjoint_cqt", bincount_adjoint)
     assert cli.main(run + ["convert", *inputs, str(out / "bincount.wav")]) == 0
     assert (out / "slices.wav").read_bytes() == (out / "bincount.wav").read_bytes()
+
+
+def test_cli_convert_audio_floats_same_as_float32_oracle(tmp_path, monkeypatch):
+    """The audio inverse_cqt returns in CLI convert, float32 values before
+    16-bit PCM rounds them, has the bytes that the float32 bincount
+    overlap-add gives with the generator's leaky ReLU on copies instead of
+    in place."""
+    config = tmp_path / "tiny.cfg"
+    config.write_text("version = 1\nbins_per_octave = 4\nn_bins = 16\nhop = 256\n"
+                      "variants_per_cell = 3\nn_words = 2\nsteps = 2\nbatch_size = 4\n"
+                      "griffin_lim_iters = 10\n")
+    out = tmp_path / "run"
+    run = ["--config", str(config), "--out", str(out)]
+    assert cli.main(run + ["gen-data"]) == 0
+    assert cli.main(run + ["train", str(out / "corpus.bin")]) == 0
+    samples = out / "samples"
+    inputs = [str(out / "final_checkpoint.bin"), str(out / "corpus.bin"),
+              str(samples / "speaker0_red.wav"), str(samples / "speaker1_red.wav"),
+              str(samples / "speaker0_blue.wav")]
+    audio = []
+
+    def recorded(*args, **kwargs):
+        audio.append(inverse_cqt(*args, **kwargs))
+        return audio[-1]
+    monkeypatch.setattr(cqt, "inverse_cqt", recorded)
+    assert cli.main(run + ["convert", *inputs, str(out / "d.wav")]) == 0
+    leaky_relu = Tensor.leaky_relu
+    monkeypatch.setattr(Tensor, "leaky_relu",
+                        lambda self, alpha=0.2, in_place=False: leaky_relu(self, alpha))
+    monkeypatch.setattr(cqt, "_adjoint_cqt", bincount_adjoint)
+    assert cli.main(run + ["convert", *inputs, str(out / "oracle.wav")]) == 0
+    assert len(audio) == 2
+    for a in audio:
+        assert np.array_equal(a.astype(np.float32), a) and a.std() > 0
+    assert audio[0].tobytes() == audio[1].tobytes()
 
 
 def test_cli_convert_analyses_in_float64_and_inverts_in_float32(tmp_path, monkeypatch):

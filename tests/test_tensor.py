@@ -392,6 +392,45 @@ class TestFirstGradient:
         (x * Tensor([-0.0])).sum().backward()
         assert x.grad.tobytes() == (np.zeros(1) + np.array([-0.0])).tobytes()
 
+    def test_taken_gradient_is_the_fresh_array_with_negative_zero_cleared(self):
+        x = Tensor(np.ones(3, np.float32), requires_grad=True)
+        g = np.array([-0.0, 2.0, -3.0], np.float32)
+        x._take(g)
+        assert x.grad is g
+        assert x.grad.tobytes() == np.array([0.0, 2.0, -3.0], np.float32).tobytes()
+        x._take(np.full(3, 1.0, np.float32))
+        assert x.grad is g
+        np.testing.assert_array_equal(g, [1.0, 3.0, -2.0])
+
+    def test_taken_gradient_of_another_dtype_raises(self):
+        x = Tensor(np.ones(2, np.float32), requires_grad=True)
+        with pytest.raises(GraphError, match="a float64 gradient for a float32 tensor"):
+            x._take(np.ones(2))
+        assert x.grad is None
+
+    def test_add_vjp_array_is_copied_for_both_parents_of_a_matmul(self):
+        # the add's one gradient array reaches both of its parents, which
+        # are matmul outputs; each keeps its own copy, and the matmul's own
+        # vjps take fresh arrays
+        rng = np.random.default_rng(5)
+        a, b, m = (Tensor(rng.normal(size=(3, 3)), requires_grad=True) for _ in range(3))
+        ha, hb = a @ m, b @ m
+        (ha + hb).sum().backward()
+        assert not np.shares_memory(ha.grad, hb.grad)
+        np.testing.assert_array_equal(ha.grad, np.ones((3, 3)))
+        ha.grad += 1.0
+        np.testing.assert_array_equal(hb.grad, np.ones((3, 3)))
+        np.testing.assert_array_equal(a.grad, np.ones((3, 3)) @ m.data.T)
+        np.testing.assert_array_equal(m.grad, a.data.T @ np.ones((3, 3))
+                                      + b.data.T @ np.ones((3, 3)))
+
+    def test_leaky_relu_taken_gradient_that_underflows_to_negative_zero_is_cleared(self):
+        # the smallest negative float32 times the 0.2 slope rounds to -0.0
+        x = Tensor(-np.ones(3, np.float32), requires_grad=True)
+        tiny = -np.nextafter(np.float32(0), np.float32(1))
+        (x.leaky_relu(0.2) * Tensor(np.full(3, tiny))).sum().backward()
+        assert x.grad.tobytes() == np.zeros(3, np.float32).tobytes()
+
 
 class TestGradientCheck:
     def test_linear_function_near_exact(self):
@@ -409,14 +448,17 @@ class TestFloat32:
         assert Tensor(np.ones(2, np.float16)).data.dtype == np.float64
 
     def test_ops_and_gradients_keep_float32(self, monkeypatch):
-        # the vjps' outputs are recorded as they reach _accumulate
+        # the vjps' outputs are recorded as they reach _accumulate or _take
         handed = []
-        accumulate = Tensor._accumulate
+        originals = {method: getattr(Tensor, method) for method in ("_accumulate", "_take")}
 
-        def recording(node, g):
-            handed.append((g.dtype, g.size))
-            accumulate(node, g)
-        monkeypatch.setattr(Tensor, "_accumulate", recording)
+        def recording(method):
+            def record(node, g):
+                handed.append((method, g.dtype, g.size))
+                originals[method](node, g)
+            return record
+        for method in originals:
+            monkeypatch.setattr(Tensor, method, recording(method))
         rng = np.random.default_rng(3)
 
         def f32(*shape):
@@ -435,7 +477,8 @@ class TestFloat32:
         loss.backward()
         steps[-1].backward()
         assert [p.grad.dtype for p in (x, w, b, m, *steps)] == [np.float32] * 9
-        assert {dtype for dtype, size in handed if size > 1} == {np.dtype(np.float32)}
+        assert {dtype for _, dtype, size in handed if size > 1} == {np.dtype(np.float32)}
+        assert {method for method, _, _ in handed} == set(originals)
 
     def test_a_gradient_of_another_dtype_raises(self):
         # without the check, a vjp that promotes to float64 would do float64

@@ -1,3 +1,5 @@
+import threading
+import time
 from dataclasses import fields
 
 import numpy as np
@@ -187,6 +189,66 @@ def test_disc_step_matches_taped_path(corpus):
     assert new.gen_params.content_hash() == old.gen_params.content_hash()
 
 
+class TestOverlappedStep:
+    """train_step runs the gen step's forward on a worker thread beside the
+    disc steps; it must compute what the steps run one after another do."""
+
+    @pytest.mark.parametrize("disc_steps", [1, 2])
+    def test_same_records_and_weights_as_the_steps_by_hand(self, corpus, disc_steps):
+        overlapped, cfg, mcfg = tiny_trainer(corpus, seed=6, disc_steps_per_gen_step=disc_steps)
+        by_hand, _, _ = tiny_trainer(corpus, seed=6, disc_steps_per_gen_step=disc_steps)
+        for _ in range(3):
+            rec = overlapped.train_step()
+            for _ in range(disc_steps):
+                disc = by_hand.disc_step(make_batch(corpus, mcfg, by_hand.rng, cfg.batch_size))
+            gen = by_hand.gen_step(make_batch(corpus, mcfg, by_hand.rng, cfg.batch_size))
+            assert (rec.disc_loss, rec.disc_real_accuracy, rec.disc_fake_detection_rate) == disc
+            assert (rec.analogy_loss, rec.gen_adv_loss) == gen
+            assert overlapped.gen_params.content_hash() == by_hand.gen_params.content_hash()
+            assert overlapped.disc_params.content_hash() == by_hand.disc_params.content_hash()
+        for name, arr in overlapped.named_tensors().items():
+            assert arr.tobytes() == by_hand.named_tensors()[name].tobytes(), name
+        assert overlapped.rng.bit_generator.state == by_hand.rng.bit_generator.state
+
+    def test_forward_runs_on_the_worker_with_the_steps_error_state(self, corpus, monkeypatch):
+        trainer, _, _ = tiny_trainer(corpus)
+        seen = []
+        forward = Trainer.gen_forward
+
+        def recording(self, batch):
+            seen.append((threading.current_thread() is threading.main_thread(), np.geterr()))
+            return forward(self, batch)
+        monkeypatch.setattr(Trainer, "gen_forward", recording)
+        trainer.train_step()
+        trainer.train_step()
+        quiet = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
+        assert [on_main for on_main, _ in seen] == [False, False]
+        assert all(quiet.items() <= state.items() for _, state in seen)
+
+    def test_disc_step_error_leaves_after_the_forward_ends(self, corpus, monkeypatch):
+        trainer, _, _ = tiny_trainer(corpus)
+        gen_before = trainer.gen_params.content_hash()
+        ended = []
+        forward = Trainer.gen_forward
+
+        def slow(self, batch):
+            time.sleep(0.2)
+            pred = forward(self, batch)
+            ended.append(pred)
+            return pred
+
+        def diverging(self, batch):
+            raise TrainingDivergedError("disc_loss is nan at step 0")
+        monkeypatch.setattr(Trainer, "gen_forward", slow)
+        monkeypatch.setattr(Trainer, "disc_step", diverging)
+        with pytest.raises(TrainingDivergedError, match="disc_loss"):
+            trainer.train_step()
+        assert len(ended) == 1
+        assert trainer.gen_params.content_hash() == gen_before
+        assert all(p.grad is None for _, p in trainer.gen_params.items())
+        assert trainer.step == 0
+
+
 class TestDeterminism:
     def test_metrics_log_byte_identical(self, corpus, tmp_path):
         logs = []
@@ -304,15 +366,17 @@ class TestFloat32:
 
     def test_gen_step_graph_and_gradients_are_float32(self, trainer, monkeypatch):
         assert trainer.model_config == ModelConfig()
-        # a node casts what it accumulates to its own dtype, so the vjps'
-        # outputs are recorded before the cast
+        # the vjps' outputs are recorded as they reach _accumulate or _take
         handed = []
-        accumulate = Tensor._accumulate
+        originals = {method: getattr(Tensor, method) for method in ("_accumulate", "_take")}
 
-        def recording(node, g):
-            handed.append(g.dtype)
-            accumulate(node, g)
-        monkeypatch.setattr(Tensor, "_accumulate", recording)
+        def recording(method):
+            def record(node, g):
+                handed.append(g.dtype)
+                originals[method](node, g)
+            return record
+        for method in originals:
+            monkeypatch.setattr(Tensor, method, recording(method))
         batch = make_batch(trainer.corpus, trainer.model_config, np.random.default_rng(0),
                            trainer.config.batch_size)
         pred = generator_forward(trainer.gen_params, Tensor(batch.gen_a),
