@@ -10,6 +10,7 @@ same bytes as running it after them.
 
 import concurrent.futures
 import math
+import os
 import time
 from dataclasses import dataclass, asdict
 
@@ -50,6 +51,17 @@ def _forward_worker():
         _worker = concurrent.futures.ThreadPoolExecutor(
             1, thread_name_prefix="voiceanalogy-gen-forward")
     return _worker
+
+
+def _forget_worker():
+    # a forked child has no copy of the parent's worker thread, and the
+    # executor would count it as idle and start none
+    global _worker
+    _worker = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
 
 
 def _quiet():
@@ -261,7 +273,8 @@ class Trainer:
                 for batch in batches:
                     disc_loss, real_acc, fake_rate = self.disc_step(batch)
             finally:
-                # the forward reads the generator's weights: it ends before the step
+                # the forward reads the generator's weights, so it ends before
+                # the step does, also when a disc step raises
                 concurrent.futures.wait([forward])
             a_loss, adv_loss = self.gen_step(gen_batch, forward.result())
         self.step += 1

@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 import threading
 import time
 from dataclasses import fields
@@ -247,6 +249,19 @@ class TestOverlappedStep:
         assert trainer.gen_params.content_hash() == gen_before
         assert all(p.grad is None for _, p in trainer.gen_params.items())
         assert trainer.step == 0
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+    def test_forked_child_steps_on_a_worker_of_its_own(self, corpus):
+        trainer, _, _ = tiny_trainer(corpus)
+        trainer.train_step()    # the parent's worker thread now exists, idle
+        child = multiprocessing.get_context("fork").Process(target=trainer.train_step)
+        child.start()
+        child.join(timeout=60)
+        hung = child.is_alive()
+        if hung:
+            child.kill()
+            child.join()
+        assert not hung and child.exitcode == 0
 
 
 class TestDeterminism:
